@@ -14,7 +14,10 @@
 package invariant
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"verikern/internal/kobj"
 	"verikern/internal/sched"
@@ -49,98 +52,228 @@ type State struct {
 }
 
 // Check runs every invariant and returns all violations (empty when
-// consistent).
+// consistent). It borrows a Checker from a pool, so repeated calls
+// reuse scratch space as a kept Checker does, and it is safe for
+// concurrent use.
 func Check(s *State) []Violation {
-	var out []Violation
-	add := func(inv, format string, args ...any) {
-		out = append(out, Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...)})
+	c := checkers.Get().(*Checker)
+	defer checkers.Put(c)
+	return c.Check(s)
+}
+
+var checkers = sync.Pool{New: func() any { return new(Checker) }}
+
+// Checker runs the invariant suite with reusable scratch space: once
+// its buffers have grown to a state's size, checking a consistent
+// state allocates nothing. The zero value is ready to use. A Checker
+// is not safe for concurrent use.
+type Checker struct {
+	out []Violation
+
+	// Overlap sweep scratch (checkObjects).
+	spans  []span
+	active []span
+	pairs  []pair
+
+	// queued maps each run-queued thread to the priority whose walk
+	// first reached it; inQueue is the membership of the endpoint or
+	// notification queue being walked.
+	queued  map[*kobj.TCB]int
+	inQueue map[*kobj.TCB]bool
+}
+
+// span is one object's physical footprint [start, end) and its index
+// in State.Objects.
+type span struct {
+	start, end uint32
+	idx        int
+}
+
+// pair is an illegally overlapping pair of object indices, i < j.
+type pair struct{ i, j int }
+
+// Check runs every invariant over s and returns all violations (empty
+// when consistent). The Checker keeps no reference to the returned
+// slice.
+func (c *Checker) Check(s *State) []Violation {
+	if c.queued == nil {
+		c.queued = make(map[*kobj.TCB]int)
+		c.inQueue = make(map[*kobj.TCB]bool)
 	}
-	checkObjects(s, add)
-	checkRunQueues(s, add)
-	checkEndpoints(s, add)
-	checkNotifications(s, add)
-	checkMDB(s, add)
-	checkVSpace(s, add)
+	c.out = nil
+	c.checkObjects(s)
+	c.checkRunQueues(s)
+	c.checkEndpoints(s)
+	c.checkNotifications(s)
+	c.checkMDB(s)
+	c.checkVSpace(s)
+	out := c.out
+	c.out = nil
 	return out
 }
 
-type adder func(inv, format string, args ...any)
+func (c *Checker) add(inv, format string, args ...any) {
+	c.out = append(c.out, Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...)})
+}
 
 // checkObjects: alignment and pairwise non-overlap (§2.2 "object
-// alignment"), and no live references to destroyed objects.
-func checkObjects(s *State, add adder) {
+// alignment"), and no live references to destroyed objects. Overlaps
+// are found by an address-ordered sweep, then reported inside the
+// per-object loop so each object's violations stay together, in object
+// order.
+func (c *Checker) checkObjects(s *State) {
+	pairs := c.overlaps(s.Objects)
+	k := 0
 	for i, o := range s.Objects {
 		h := o.Hdr()
 		if h.Destroyed {
-			add("live-objects", "destroyed object %d in live set", h.ID)
+			c.add("live-objects", "destroyed object %d in live set", h.ID)
 		}
 		if h.PAddr%(1<<h.SizeBits) != 0 {
-			add("object-alignment", "object %d (%v) at %#x not aligned to 2^%d",
+			c.add("object-alignment", "object %d (%v) at %#x not aligned to 2^%d",
 				h.ID, h.Type, h.PAddr, h.SizeBits)
 		}
-		for j := i + 1; j < len(s.Objects); j++ {
-			p := s.Objects[j]
-			if kobj.Overlaps(o, p) && !kobj.Contains(o, p) && !kobj.Contains(p, o) {
-				add("object-overlap", "objects %d and %d overlap", h.ID, p.Hdr().ID)
+		for ; k < len(pairs) && pairs[k].i == i; k++ {
+			c.add("object-overlap", "objects %d and %d overlap", h.ID, s.Objects[pairs[k].j].Hdr().ID)
+		}
+	}
+}
+
+// overlaps returns every pair of objects whose footprints intersect
+// (kobj.Overlaps) without one containing the other (kobj.Contains),
+// sorted by (i, j). It sorts the footprints by start address and
+// sweeps them, keeping the active set of earlier footprints that end
+// past the current start: exactly those overlap it. The cost is
+// O(n log n) plus the active-set sizes, which for a derivation of
+// nested untypeds is the nesting depth. A footprint that wraps past
+// 2^32 (End() <= PAddr) breaks the interval order, so such a state
+// falls back to the all-pairs test.
+func (c *Checker) overlaps(objs []kobj.Object) []pair {
+	c.pairs = c.pairs[:0]
+	c.spans = c.spans[:0]
+	sorted := true
+	for i, o := range objs {
+		h := o.Hdr()
+		end := h.End()
+		if end <= h.PAddr {
+			return c.overlapsPairwise(objs)
+		}
+		if i > 0 && h.PAddr < c.spans[i-1].start {
+			sorted = false
+		}
+		c.spans = append(c.spans, span{start: h.PAddr, end: end, idx: i})
+	}
+	// Retyping allocates at a rising watermark and destruction keeps
+	// the live set's order, so the objects usually arrive sorted.
+	if !sorted {
+		slices.SortFunc(c.spans, func(a, b span) int { return cmp.Compare(a.start, b.start) })
+	}
+	active := c.active[:0]
+	for _, sp := range c.spans {
+		// Starts only grow, so a footprint ending at or before this
+		// start overlaps neither this one nor any later one.
+		live := active[:0]
+		for _, a := range active {
+			if a.end > sp.start {
+				live = append(live, a)
+				c.addPair(objs, a.idx, sp.idx)
 			}
 		}
+		active = append(live, sp)
+	}
+	c.active = active[:0]
+	slices.SortFunc(c.pairs, func(a, b pair) int {
+		if a.i != b.i {
+			return cmp.Compare(a.i, b.i)
+		}
+		return cmp.Compare(a.j, b.j)
+	})
+	return c.pairs
+}
+
+// overlapsPairwise is overlaps by testing every pair.
+func (c *Checker) overlapsPairwise(objs []kobj.Object) []pair {
+	for i, o := range objs {
+		for j := i + 1; j < len(objs); j++ {
+			if kobj.Overlaps(o, objs[j]) {
+				c.addPair(objs, i, j)
+			}
+		}
+	}
+	return c.pairs
+}
+
+// addPair records overlapping objects i and j unless one contains the
+// other (a retyped child inside its parent untyped).
+func (c *Checker) addPair(objs []kobj.Object, i, j int) {
+	if i > j {
+		i, j = j, i
+	}
+	if !kobj.Contains(objs[i], objs[j]) && !kobj.Contains(objs[j], objs[i]) {
+		c.pairs = append(c.pairs, pair{i, j})
 	}
 }
 
 // checkRunQueues: doubly-linked list well-formedness, the Benno
-// invariant, bitmap consistency, and runnable coverage.
-func checkRunQueues(s *State, add adder) {
+// invariant, bitmap consistency, and runnable coverage. A walk that
+// reaches an already-queued thread stops there with one violation: a
+// cycle if this walk queued it, a thread queued twice otherwise.
+func (c *Checker) checkRunQueues(s *State) {
 	if s.Sched == nil {
 		return
 	}
 	rq := s.Sched.Queues()
-	benno := s.Sched.Kind() != sched.Lazy
-	queued := make(map[*kobj.TCB]bool)
+	kind := s.Sched.Kind()
+	benno := kind != sched.Lazy
+	bitmap := kind == sched.BennoBitmap
+	queued := c.queued
+	clear(queued)
 	for p := 0; p < kobj.NumPrios; p++ {
 		var prev *kobj.TCB
-		n := 0
+		revisit := false
 		for t := rq.Q[p].Head; t != nil; t = t.SchedNext {
+			if q, ok := queued[t]; ok {
+				if q == p {
+					c.add("queue-well-formed", "prio %d: cycle", p)
+				} else {
+					c.add("queue-well-formed", "thread %q queued twice", t.Name)
+				}
+				revisit = true
+				break
+			}
 			if t.SchedPrev != prev {
-				add("queue-well-formed", "prio %d: bad back-pointer at %q", p, t.Name)
+				c.add("queue-well-formed", "prio %d: bad back-pointer at %q", p, t.Name)
 			}
 			if int(t.Prio) != p {
-				add("queue-well-formed", "prio %d: thread %q has prio %d", p, t.Name, t.Prio)
+				c.add("queue-well-formed", "prio %d: thread %q has prio %d", p, t.Name, t.Prio)
 			}
 			if !t.InRunQueue {
-				add("queue-well-formed", "prio %d: queued thread %q not flagged InRunQueue", p, t.Name)
+				c.add("queue-well-formed", "prio %d: queued thread %q not flagged InRunQueue", p, t.Name)
 			}
-			if queued[t] {
-				add("queue-well-formed", "thread %q queued twice", t.Name)
-			}
-			queued[t] = true
+			queued[t] = p
 			// The Benno invariant (§3.1): all threads on the
 			// run queue are runnable.
 			if benno && !t.State.Runnable() {
-				add("benno-runnable", "prio %d: queued thread %q in state %v", p, t.Name, t.State)
+				c.add("benno-runnable", "prio %d: queued thread %q in state %v", p, t.Name, t.State)
 			}
 			prev = t
-			n++
-			if n > 1<<20 {
-				add("queue-well-formed", "prio %d: cycle", p)
-				return
-			}
 		}
-		if rq.Q[p].Tail != prev {
-			add("queue-well-formed", "prio %d: tail mismatch", p)
+		if !revisit && rq.Q[p].Tail != prev {
+			c.add("queue-well-formed", "prio %d: tail mismatch", p)
 		}
 		// Bitmap consistency (§3.2).
-		if s.Sched.Kind() == sched.BennoBitmap {
+		if bitmap {
 			bit := rq.Level2[p>>5]&(1<<(p&31)) != 0
 			if bit != (rq.Q[p].Head != nil) {
-				add("bitmap-consistent", "prio %d: bitmap bit %v, queue empty %v",
+				c.add("bitmap-consistent", "prio %d: bitmap bit %v, queue empty %v",
 					p, bit, rq.Q[p].Head == nil)
 			}
 		}
 	}
-	if s.Sched.Kind() == sched.BennoBitmap {
+	if bitmap {
 		for b := 0; b < 8; b++ {
 			if (rq.Top&(1<<b) != 0) != (rq.Level2[b] != 0) {
-				add("bitmap-consistent", "top bit %d inconsistent with level 2", b)
+				c.add("bitmap-consistent", "top bit %d inconsistent with level 2", b)
 			}
 		}
 	}
@@ -155,10 +288,10 @@ func checkRunQueues(s *State, add adder) {
 			continue
 		}
 		if t.State == kobj.ThreadRunnable && !t.InRunQueue && t != s.Current {
-			add("runnable-covered", "runnable thread %q neither queued nor current", t.Name)
+			c.add("runnable-covered", "runnable thread %q neither queued nor current", t.Name)
 		}
-		if t.InRunQueue && !queued[t] {
-			add("queue-well-formed", "thread %q flagged InRunQueue but absent", t.Name)
+		if _, ok := queued[t]; t.InRunQueue && !ok {
+			c.add("queue-well-formed", "thread %q flagged InRunQueue but absent", t.Name)
 		}
 	}
 }
@@ -166,63 +299,64 @@ func checkRunQueues(s *State, add adder) {
 // checkEndpoints: endpoint queue well-formedness, state/queue
 // agreement, waiter state consistency, and the badged-abort resume
 // state (§3.3–3.4).
-func checkEndpoints(s *State, add adder) {
+func (c *Checker) checkEndpoints(s *State) {
 	for _, o := range s.Objects {
 		ep, ok := o.(*kobj.Endpoint)
 		if !ok {
 			continue
 		}
 		var prev *kobj.TCB
-		n := 0
-		inQueue := make(map[*kobj.TCB]bool)
+		inQueue := c.inQueue
+		clear(inQueue)
+		revisit := false
 		for t := ep.QHead; t != nil; t = t.EPNext {
+			if inQueue[t] {
+				c.add("ep-well-formed", "%q: cycle", ep.Name)
+				revisit = true
+				break
+			}
 			if t.EPPrev != prev {
-				add("ep-well-formed", "%q: bad back-pointer at %q", ep.Name, t.Name)
+				c.add("ep-well-formed", "%q: bad back-pointer at %q", ep.Name, t.Name)
 			}
 			if t.WaitingOn != ep {
-				add("ep-well-formed", "%q: waiter %q points elsewhere", ep.Name, t.Name)
+				c.add("ep-well-formed", "%q: waiter %q points elsewhere", ep.Name, t.Name)
 			}
 			switch ep.State {
 			case kobj.EPSending:
 				if t.State != kobj.ThreadBlockedOnSend {
-					add("ep-waiter-state", "%q: waiter %q state %v on send queue", ep.Name, t.Name, t.State)
+					c.add("ep-waiter-state", "%q: waiter %q state %v on send queue", ep.Name, t.Name, t.State)
 				}
 			case kobj.EPReceiving:
 				if t.State != kobj.ThreadBlockedOnRecv {
-					add("ep-waiter-state", "%q: waiter %q state %v on recv queue", ep.Name, t.Name, t.State)
+					c.add("ep-waiter-state", "%q: waiter %q state %v on recv queue", ep.Name, t.Name, t.State)
 				}
 			case kobj.EPIdle:
-				add("ep-state", "%q: idle endpoint has waiters", ep.Name)
+				c.add("ep-state", "%q: idle endpoint has waiters", ep.Name)
 			}
 			inQueue[t] = true
 			prev = t
-			n++
-			if n > 1<<20 {
-				add("ep-well-formed", "%q: cycle", ep.Name)
-				return
-			}
 		}
-		if ep.QTail != prev {
-			add("ep-well-formed", "%q: tail mismatch", ep.Name)
+		if !revisit && ep.QTail != prev {
+			c.add("ep-well-formed", "%q: tail mismatch", ep.Name)
 		}
 		if ep.QHead == nil && ep.State != kobj.EPIdle {
-			add("ep-state", "%q: empty queue but state %v", ep.Name, ep.State)
+			c.add("ep-state", "%q: empty queue but state %v", ep.Name, ep.State)
 		}
 		// Badged-abort resume state (§3.4): while active, the
 		// cursor and end marker must reference queue members (or
 		// nil), and the worker must be recorded.
 		if ep.AbortActive {
 			if ep.AbortWorker == nil {
-				add("abort-state", "%q: active abort with no worker", ep.Name)
+				c.add("abort-state", "%q: active abort with no worker", ep.Name)
 			}
 			if ep.AbortCursor != nil && !inQueue[ep.AbortCursor] {
-				add("abort-state", "%q: abort cursor not in queue", ep.Name)
+				c.add("abort-state", "%q: abort cursor not in queue", ep.Name)
 			}
 			if ep.AbortEnd != nil && !inQueue[ep.AbortEnd] && ep.AbortCursor != nil {
-				add("abort-state", "%q: abort end marker not in queue", ep.Name)
+				c.add("abort-state", "%q: abort end marker not in queue", ep.Name)
 			}
 		} else if ep.AbortWorker != nil || ep.AbortEnd != nil {
-			add("abort-state", "%q: stale abort fields", ep.Name)
+			c.add("abort-state", "%q: stale abort fields", ep.Name)
 		}
 	}
 }
@@ -230,49 +364,52 @@ func checkEndpoints(s *State, add adder) {
 // checkNotifications: notification queue well-formedness and waiter
 // exclusivity (a thread waits on an endpoint or a notification, never
 // both).
-func checkNotifications(s *State, add adder) {
+func (c *Checker) checkNotifications(s *State) {
 	for _, o := range s.Objects {
 		n, ok := o.(*kobj.Notification)
 		if !ok {
 			continue
 		}
 		var prev *kobj.TCB
-		count := 0
+		inQueue := c.inQueue
+		clear(inQueue)
+		revisit := false
 		for t := n.QHead; t != nil; t = t.EPNext {
+			if inQueue[t] {
+				c.add("ntfn-well-formed", "%q: cycle", n.Name)
+				revisit = true
+				break
+			}
 			if t.EPPrev != prev {
-				add("ntfn-well-formed", "%q: bad back-pointer at %q", n.Name, t.Name)
+				c.add("ntfn-well-formed", "%q: bad back-pointer at %q", n.Name, t.Name)
 			}
 			if t.WaitingOnNtfn != n {
-				add("ntfn-well-formed", "%q: waiter %q points elsewhere", n.Name, t.Name)
+				c.add("ntfn-well-formed", "%q: waiter %q points elsewhere", n.Name, t.Name)
 			}
 			if t.WaitingOn != nil {
-				add("ntfn-exclusive", "%q: waiter %q also queued on endpoint %q", n.Name, t.Name, t.WaitingOn.Name)
+				c.add("ntfn-exclusive", "%q: waiter %q also queued on endpoint %q", n.Name, t.Name, t.WaitingOn.Name)
 			}
 			if t.State != kobj.ThreadBlockedOnRecv {
-				add("ntfn-waiter-state", "%q: waiter %q state %v", n.Name, t.Name, t.State)
+				c.add("ntfn-waiter-state", "%q: waiter %q state %v", n.Name, t.Name, t.State)
 			}
+			inQueue[t] = true
 			prev = t
-			count++
-			if count > 1<<20 {
-				add("ntfn-well-formed", "%q: cycle", n.Name)
-				return
-			}
 		}
-		if n.QTail != prev {
-			add("ntfn-well-formed", "%q: tail mismatch", n.Name)
+		if !revisit && n.QTail != prev {
+			c.add("ntfn-well-formed", "%q: tail mismatch", n.Name)
 		}
 		// A pending word with waiters present means a signal was
 		// not delivered — the wait/signal protocol never leaves
 		// this state.
 		if n.Pending != 0 && n.QHead != nil {
-			add("ntfn-pending", "%q: pending word %#x with waiters queued", n.Name, n.Pending)
+			c.add("ntfn-pending", "%q: pending word %#x with waiters queued", n.Name, n.Pending)
 		}
 	}
 }
 
 // checkMDB: the derivation tree's list structure and depth discipline
 // (§2.2 "book-keeping invariants").
-func checkMDB(s *State, add adder) {
+func (c *Checker) checkMDB(s *State) {
 	if s.MDBHead == nil {
 		return
 	}
@@ -280,48 +417,49 @@ func checkMDB(s *State, add adder) {
 	n := 0
 	for slot := s.MDBHead.MDBNext; slot != nil; slot = slot.MDBNext {
 		if slot.MDBPrev != prev {
-			add("mdb-well-formed", "slot %s[%d]: bad back-pointer", slot.CNode.Name, slot.Index)
+			c.add("mdb-well-formed", "slot %s[%d]: bad back-pointer", slot.CNode.Name, slot.Index)
 		}
 		if slot.IsEmpty() {
-			add("mdb-well-formed", "slot %s[%d]: empty slot linked in MDB", slot.CNode.Name, slot.Index)
+			c.add("mdb-well-formed", "slot %s[%d]: empty slot linked in MDB", slot.CNode.Name, slot.Index)
 		} else if slot.Cap.Obj != nil && slot.Cap.Obj.Hdr().Destroyed {
-			add("cap-liveness", "slot %s[%d]: cap to destroyed object %d",
+			c.add("cap-liveness", "slot %s[%d]: cap to destroyed object %d",
 				slot.CNode.Name, slot.Index, slot.Cap.Obj.Hdr().ID)
 		}
 		// Depth discipline: a node's depth exceeds its
 		// predecessor's by at most one (preorder encoding).
 		if slot.MDBDepth < 0 || slot.MDBDepth > prev.MDBDepth+1 {
-			add("mdb-depth", "slot %s[%d]: depth %d after depth %d",
+			c.add("mdb-depth", "slot %s[%d]: depth %d after depth %d",
 				slot.CNode.Name, slot.Index, slot.MDBDepth, prev.MDBDepth)
 		}
 		prev = slot
 		n++
 		if n > 1<<20 {
-			add("mdb-well-formed", "cycle in MDB")
+			c.add("mdb-well-formed", "cycle in MDB")
 			return
 		}
 	}
 }
 
 // checkVSpace: design-specific address-space consistency (§3.5–3.6).
-func checkVSpace(s *State, add adder) {
+func (c *Checker) checkVSpace(s *State) {
 	if s.VSpace == nil {
 		return
 	}
+	shadow := s.VSpace.Design() == vspace.ShadowDesign
 	for _, pd := range s.VSpace.VSpaces() {
 		// Kernel-window presence is an exit-time invariant
 		// (§3.5): "all page directories will contain these
 		// global mappings — an invariant that must be maintained
 		// upon exiting the kernel".
 		if s.AtKernelExit && !pd.KernelWindowCopied {
-			add("kernel-window", "pd %d missing kernel mappings at kernel exit", pd.ID)
+			c.add("kernel-window", "pd %d missing kernel mappings at kernel exit", pd.ID)
 		}
 		for di := 0; di < kobj.PDEntries; di++ {
 			pt := pd.Tables[di]
-			if s.VSpace.Design() == vspace.ShadowDesign {
+			if shadow {
 				shadowed := pd.Shadow != nil && pd.Shadow[di] != nil
 				if (pt != nil) != shadowed {
-					add("shadow-consistent", "pd %d dir %d: table %v shadow %v",
+					c.add("shadow-consistent", "pd %d dir %d: table %v shadow %v",
 						pd.ID, di, pt != nil, shadowed)
 				}
 			}
@@ -329,29 +467,29 @@ func checkVSpace(s *State, add adder) {
 				continue
 			}
 			if pt.Parent != pd || pt.ParentIndex != di {
-				add("vspace-parent", "pd %d dir %d: table parent link wrong", pd.ID, di)
+				c.add("vspace-parent", "pd %d dir %d: table parent link wrong", pd.ID, di)
 			}
 			for pi := 0; pi < kobj.PTEntries; pi++ {
 				f := pt.Entries[pi]
-				if s.VSpace.Design() == vspace.ShadowDesign {
+				if shadow {
 					sh := pt.Shadow != nil && pt.Shadow[pi] != nil
 					if (f != nil) != sh {
-						add("shadow-consistent", "pd %d dir %d pt %d: frame %v shadow %v",
+						c.add("shadow-consistent", "pd %d dir %d pt %d: frame %v shadow %v",
 							pd.ID, di, pi, f != nil, sh)
 					}
 					if f != nil && sh && pt.Shadow[pi].Cap.Type == kobj.CapFrame &&
 						pt.Shadow[pi].Cap.Frame() != f {
-						add("shadow-consistent", "pd %d dir %d pt %d: shadow points at wrong frame",
+						c.add("shadow-consistent", "pd %d dir %d pt %d: shadow points at wrong frame",
 							pd.ID, di, pi)
 					}
 				}
 				if f != nil {
 					if f.MappedIn != pd {
-						add("frame-backref", "frame %d mapped in pd %d but back-pointer disagrees", f.ID, pd.ID)
+						c.add("frame-backref", "frame %d mapped in pd %d but back-pointer disagrees", f.ID, pd.ID)
 					}
 					wantDi, wantPi := int(f.MappedVaddr>>20), int(f.MappedVaddr>>12&0xFF)
 					if wantDi != di || wantPi != pi {
-						add("frame-backref", "frame %d vaddr %#x disagrees with position (%d,%d)",
+						c.add("frame-backref", "frame %d vaddr %#x disagrees with position (%d,%d)",
 							f.ID, f.MappedVaddr, di, pi)
 					}
 				}

@@ -1,6 +1,8 @@
 package invariant
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -247,3 +249,45 @@ func TestViolationString(t *testing.T) {
 func never() bool { return false }
 
 func clock() *ktime.Clock { return &ktime.Clock{} }
+
+// TestCyclicQueueStopsAtFirstRevisit: a cyclic wait queue ends its own
+// walk with one violation, and the checks after it still run.
+func TestCyclicQueueStopsAtFirstRevisit(t *testing.T) {
+	s, m, _, ep := cleanState(t)
+	objs, _ := m.Retype(s.Objects[0].(*kobj.Untyped), kobj.TypeEndpoint, 0, 1)
+	ep2 := objs[0].(*kobj.Endpoint)
+	ep2.Name = "ep2"
+	s.Objects = m.Objects()
+	a := &kobj.TCB{Name: "a", State: kobj.ThreadBlockedOnSend, WaitingOn: ep}
+	b := &kobj.TCB{Name: "b", State: kobj.ThreadBlockedOnSend, WaitingOn: ep, EPPrev: a}
+	a.EPNext, b.EPNext = b, a // b links back to the head
+	ep.QHead, ep.QTail, ep.State = a, b, kobj.EPSending
+	ep2.State = kobj.EPSending // no waiters: an empty queue must be idle
+	want := []Violation{
+		{"ep-well-formed", `"ep": cycle`},
+		{"ep-state", fmt.Sprintf(`"ep2": empty queue but state %v`, kobj.EPSending)},
+	}
+	if got := Check(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v, want %v", got, want)
+	}
+}
+
+// TestCyclicRunQueueKeepsCoverage: a run-queue cycle is one violation,
+// and the remaining priorities and the runnable-coverage pass still
+// run.
+func TestCyclicRunQueueKeepsCoverage(t *testing.T) {
+	s, m, queued, _ := cleanState(t)
+	objs, _ := m.Retype(s.Objects[0].(*kobj.Untyped), kobj.TypeTCB, 0, 1)
+	stray := objs[0].(*kobj.TCB)
+	stray.Name = "stray"
+	stray.State = kobj.ThreadRunnable
+	s.Objects = m.Objects()
+	queued.SchedNext = queued // prio 10 loops on itself
+	want := []Violation{
+		{"queue-well-formed", "prio 10: cycle"},
+		{"runnable-covered", `runnable thread "stray" neither queued nor current`},
+	}
+	if got := Check(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v, want %v", got, want)
+	}
+}

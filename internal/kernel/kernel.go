@@ -158,6 +158,8 @@ type Kernel struct {
 
 	stats      Stats
 	violations []invariant.Violation
+	// checker keeps the invariant suite's scratch space across checks.
+	checker invariant.Checker
 
 	// tracer, when set, receives kernel trace events. A nil tracer
 	// costs one predictable branch per potential event, keeping the
@@ -360,7 +362,7 @@ func (k *Kernel) checkInvariants(atExit bool) {
 	if !k.cfg.CheckInvariants {
 		return
 	}
-	vs := invariant.Check(&invariant.State{
+	vs := k.checker.Check(&invariant.State{
 		Objects:      k.objects.Objects(),
 		MDBHead:      k.objects.MDBHead(),
 		Sched:        k.sched,
