@@ -355,21 +355,35 @@ func ComputeHeadline(ctx context.Context, l2 bool) (Headline, error) {
 	}, nil
 }
 
+// analysisTimeRounds is how many uncached analyses AnalysisTimes runs
+// per entry point; it reports the fastest.
+const analysisTimeRounds = 3
+
 // AnalysisTimes reproduces the §6.3 computation-time breakdown: the
 // wall time each entry point's analysis takes, dominated by the system
-// call handler.
+// call handler. Each analysis runs without the shared artifact cache,
+// so a time is never a cache hit or a time recorded by an earlier
+// caller, and the rounds interleave the entry points and keep each
+// one's fastest, so a scheduler stall or GC pause in one round does
+// not reorder the entry points.
 func AnalysisTimes(ctx context.Context) (map[EntryPoint]time.Duration, error) {
 	im, err := BuildImage(Modern, false)
 	if err != nil {
 		return nil, err
 	}
+	a := im.analyzer(Hardware{})
+	a.Cache, a.Metrics = nil, nil
 	out := make(map[EntryPoint]time.Duration)
-	for _, e := range EntryPoints() {
-		bd, err := im.AnalyzeContext(ctx, Hardware{}, e)
-		if err != nil {
-			return nil, err
+	for round := 0; round < analysisTimeRounds; round++ {
+		for _, e := range EntryPoints() {
+			r, err := a.AnalyzeContext(ctx, string(e))
+			if err != nil {
+				return nil, err
+			}
+			if d, ok := out[e]; !ok || r.AnalysisTime < d {
+				out[e] = r.AnalysisTime
+			}
 		}
-		out[e] = bd.Result.AnalysisTime
 	}
 	return out, nil
 }

@@ -116,7 +116,7 @@ func BaseCost(c Class) uint64 {
 	}
 }
 
-// Memory hierarchy latencies of the KZM board (§5.1): a 26-cycle L2
+// Latencies of the KZM board's memory hierarchy (§5.1): a 26-cycle L2
 // hit, 60-cycle memory access with the L2 disabled and 96 cycles with
 // it enabled.
 const (
@@ -191,8 +191,7 @@ type Config struct {
 	// selects the default ARM1136 backend, so the zero Config keeps
 	// its historical meaning. Config stays a flat comparable value:
 	// backends are resolved by name through the registry, never
-	// embedded, so Configs remain usable as map keys, memo bindings
-	// and fingerprint inputs.
+	// embedded, so Configs remain usable as map keys.
 	Arch string
 
 	// L2Enabled enables the unified L2 cache. Disabling it lowers

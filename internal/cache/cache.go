@@ -8,10 +8,7 @@
 //
 // The metadata layout is flat: tags and per-line flags live in two
 // contiguous slices indexed by set*Ways+way, with the replacement
-// pointers in a third. The cache also maintains an incremental
-// whole-state fingerprint (an XOR of mixed per-component hashes) that
-// is updated on every mutation, so simulator-level memoization can key
-// on microarchitectural state without walking the arrays.
+// pointers in a third.
 package cache
 
 import (
@@ -122,17 +119,6 @@ type Cache struct {
 	tagShift  uint
 	setMask   uint32
 
-	// fp is the incremental whole-state fingerprint: the XOR of one
-	// mixed hash per valid line, per live round-robin pointer and (for
-	// pseudo-random caches) the LFSR. Invalid lines contribute zero, so
-	// stale tags left behind by invalidation never affect it.
-	fp uint64
-	// setFP holds one incremental fingerprint per set (lines plus the
-	// live round-robin pointer; the global LFSR is folded in at read
-	// time). Reading a set fingerprint is a load, which is what keeps
-	// the memoized simulator's hit path off the metadata arrays.
-	setFP []uint64
-
 	hits       uint64
 	misses     uint64
 	writebacks uint64
@@ -158,11 +144,6 @@ func New(cfg Config) *Cache {
 	for s := range c.rrNext {
 		c.rrNext[s] = int32(cfg.LockedWays)
 	}
-	c.setFP = make([]uint64, cfg.Sets)
-	for s := range c.setFP {
-		c.setFP[s] = c.recomputeSetFingerprint(s)
-	}
-	c.fp = c.recomputeFingerprint()
 	return c
 }
 
@@ -188,131 +169,10 @@ func (c *Cache) Tag(addr uint32) uint32 {
 	return addr >> c.tagShift
 }
 
-// mix64 is the splitmix64 finaliser: a cheap bijective mixer with full
-// avalanche, the same construction the pass cache and seed derivation
-// use.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
-// Salts separating the fingerprint's component domains.
-const (
-	fpGamma    = 0x9E3779B97F4A7C15 // golden-ratio index spreader
-	fpLineSalt = 0xC0AC5E57A1B2C3D4
-	fpRRSalt   = 0x5EED5A17B2C3D4E5
-	fpLFSRSalt = 0x1F5BEEFD4C3B2A19
-)
-
-// lineFP returns line i's fingerprint contribution. Invalid lines
-// contribute zero so stale tags are canonical.
-func (c *Cache) lineFP(i int) uint64 {
-	fl := c.flags[i]
-	if fl&flagValid == 0 {
-		return 0
-	}
-	return mix64(fpLineSalt ^ (uint64(i)+1)*fpGamma ^ uint64(c.tags[i])<<3 ^ uint64(fl))
-}
-
-// rrFP returns set s's round-robin pointer contribution. The pointer is
-// dead state except under round-robin replacement, so other policies
-// contribute zero — two behaviourally identical caches fingerprint
-// identically even if AdvanceReplacement parked their pointers
-// differently.
-func (c *Cache) rrFP(s int) uint64 {
-	if c.cfg.Policy != RoundRobin {
-		return 0
-	}
-	return mix64(fpRRSalt ^ (uint64(s)+1)*fpGamma ^ uint64(uint32(c.rrNext[s]))<<32)
-}
-
-// lfsrFP returns the LFSR contribution; dead state except under
-// pseudo-random replacement.
-func (c *Cache) lfsrFP() uint64 {
-	if c.cfg.Policy != PseudoRandom {
-		return 0
-	}
-	return mix64(fpLFSRSalt ^ uint64(c.lfsr))
-}
-
-// recomputeFingerprint walks the whole state; the incremental fp must
-// always equal it (checked by the property tests).
-func (c *Cache) recomputeFingerprint() uint64 {
-	var fp uint64
-	for i := range c.flags {
-		fp ^= c.lineFP(i)
-	}
-	for s := range c.rrNext {
-		fp ^= c.rrFP(s)
-	}
-	fp ^= c.lfsrFP()
-	return fp
-}
-
-// Fingerprint returns the incremental whole-state fingerprint. Equal
-// observable states (Equal) have equal fingerprints; distinct states
-// collide with probability ~2^-64. Statistics do not participate.
-func (c *Cache) Fingerprint() uint64 { return c.fp }
-
-// SetFingerprint returns a fingerprint of one set's replacement-
-// relevant state: every way's (tag, flags) — position-sensitive, since
-// each line's contribution is salted with its global index — the set's
-// round-robin pointer, and, for pseudo-random caches, the global LFSR.
-// The memoized simulator keys block retirement on these; the per-set
-// value is maintained incrementally, so reading it is an array load
-// (plus one mix to fold in the LFSR under pseudo-random replacement).
-func (c *Cache) SetFingerprint(set int) uint64 {
-	h := c.setFP[set]
-	if c.cfg.Policy == PseudoRandom {
-		h = mix64(h ^ fpLFSRSalt ^ uint64(c.lfsr))
-	}
-	return h
-}
-
-// recomputeSetFingerprint walks one set's state from scratch; the
-// incremental setFP entry must always equal it (checked by the property
-// tests).
-func (c *Cache) recomputeSetFingerprint(set int) uint64 {
-	base := set * c.cfg.Ways
-	var h uint64
-	for w := 0; w < c.cfg.Ways; w++ {
-		h ^= c.lineFP(base + w)
-	}
-	return h ^ c.rrFP(set)
-}
-
-// setLine overwrites line i, maintaining the whole-state and per-set
-// fingerprints.
-func (c *Cache) setLine(i int, tag uint32, fl uint8) {
-	d := c.lineFP(i)
-	c.tags[i] = tag
-	c.flags[i] = fl
-	d ^= c.lineFP(i)
-	c.fp ^= d
-	c.setFP[i/c.cfg.Ways] ^= d
-}
-
-// setRR overwrites set s's round-robin pointer, maintaining the
-// whole-state and per-set fingerprints.
-func (c *Cache) setRR(s int, v int32) {
-	d := c.rrFP(s)
-	c.rrNext[s] = v
-	d ^= c.rrFP(s)
-	c.fp ^= d
-	c.setFP[s] ^= d
-}
-
-// stepLFSR clocks the 16-bit Fibonacci LFSR once, maintaining the
-// fingerprint.
+// stepLFSR clocks the 16-bit Fibonacci LFSR once.
 func (c *Cache) stepLFSR() {
-	c.fp ^= c.lfsrFP()
 	bit := ((c.lfsr >> 0) ^ (c.lfsr >> 2) ^ (c.lfsr >> 3) ^ (c.lfsr >> 5)) & 1
 	c.lfsr = (c.lfsr >> 1) | (bit << 15)
-	c.fp ^= c.lfsrFP()
 }
 
 // Result describes the outcome of a cache access.
@@ -336,12 +196,8 @@ func (c *Cache) Access(addr uint32, write bool) Result {
 	for i := base; i < end; i++ {
 		if c.flags[i]&flagValid != 0 && c.tags[i] == tag {
 			c.hits++
-			if write && c.flags[i]&flagDirty == 0 {
-				d := c.lineFP(i)
+			if write {
 				c.flags[i] |= flagDirty
-				d ^= c.lineFP(i)
-				c.fp ^= d
-				c.setFP[set] ^= d
 			}
 			if c.cfg.Policy == LRU {
 				c.touchLRU(base, i-base)
@@ -360,7 +216,7 @@ func (c *Cache) Access(addr uint32, write bool) Result {
 	if write {
 		fl |= flagDirty
 	}
-	c.setLine(victim, tag, fl)
+	c.tags[victim], c.flags[victim] = tag, fl
 	if c.cfg.Policy == LRU {
 		c.touchLRU(base, victim-base)
 	}
@@ -375,19 +231,10 @@ func (c *Cache) touchLRU(base, w int) {
 		return
 	}
 	end := base + c.cfg.Ways
-	var d uint64
-	for i := base + w; i < end; i++ {
-		d ^= c.lineFP(i)
-	}
 	t, fl := c.tags[base+w], c.flags[base+w]
 	copy(c.tags[base+w:end], c.tags[base+w+1:end])
 	copy(c.flags[base+w:end], c.flags[base+w+1:end])
 	c.tags[end-1], c.flags[end-1] = t, fl
-	for i := base + w; i < end; i++ {
-		d ^= c.lineFP(i)
-	}
-	c.fp ^= d
-	c.setFP[base/c.cfg.Ways] ^= d
 }
 
 // victim selects the way (relative to the set) to replace. Locked ways
@@ -411,7 +258,7 @@ func (c *Cache) victim(set, base int) int {
 		if next >= c.cfg.Ways {
 			next = lo
 		}
-		c.setRR(set, int32(next))
+		c.rrNext[set] = int32(next)
 		return v
 	case PseudoRandom:
 		// 16-bit Fibonacci LFSR, as a stand-in for the
@@ -445,7 +292,7 @@ func (c *Cache) Pin(addr uint32) bool {
 	for w := 0; w < c.cfg.LockedWays; w++ {
 		i := base + w
 		if c.flags[i]&flagValid == 0 || c.flags[i]&flagPinned == 0 {
-			c.setLine(i, tag, flagValid|flagPinned)
+			c.tags[i], c.flags[i] = tag, flagValid|flagPinned
 			return true
 		}
 	}
@@ -485,7 +332,7 @@ func (c *Cache) Contains(addr uint32) bool {
 func (c *Cache) InvalidateAll() {
 	for i := range c.flags {
 		if c.flags[i]&flagPinned == 0 {
-			c.setLine(i, 0, 0)
+			c.tags[i], c.flags[i] = 0, 0
 		}
 	}
 }
@@ -500,7 +347,7 @@ func (c *Cache) Pollute(seed uint32) {
 	for s := 0; s < c.cfg.Sets; s++ {
 		base := s * c.cfg.Ways
 		for w := c.cfg.LockedWays; w < c.cfg.Ways; w++ {
-			c.setLine(base+w, tagBase+uint32(w)<<20, flagValid|flagDirty)
+			c.tags[base+w], c.flags[base+w] = tagBase+uint32(w)<<20, flagValid|flagDirty
 		}
 	}
 }
@@ -524,7 +371,7 @@ func (c *Cache) DirtyFootprint(addrs []uint32, seed uint32) {
 			if tag == own {
 				tag ^= 1 << 19
 			}
-			c.setLine(base+w, tag, flagValid|flagDirty)
+			c.tags[base+w], c.flags[base+w] = tag, flagValid|flagDirty
 		}
 	}
 }
@@ -543,64 +390,11 @@ func (c *Cache) AdvanceReplacement(n int) {
 	span := int32(c.cfg.Ways) - lo
 	for s := range c.rrNext {
 		v := c.rrNext[s] - lo
-		c.setRR(s, lo+(v+int32(n))%span)
+		c.rrNext[s] = lo + (v+int32(n))%span
 	}
 	for i := 0; i < n; i++ {
 		c.stepLFSR()
 	}
-}
-
-// AppendSetState appends the tags and flags of every way of set to the
-// given slices (growing them as needed) and returns the updated slices
-// along with the set's round-robin pointer. The memoized simulator uses
-// it to snapshot the post-state of the sets a block touched.
-func (c *Cache) AppendSetState(set int, tags []uint32, flags []uint8) ([]uint32, []uint8, int32) {
-	base := set * c.cfg.Ways
-	tags = append(tags, c.tags[base:base+c.cfg.Ways]...)
-	flags = append(flags, c.flags[base:base+c.cfg.Ways]...)
-	return tags, flags, c.rrNext[set]
-}
-
-// RestoreSetState overwrites one set's ways (tags/flags must hold Ways
-// entries) and its round-robin pointer, maintaining the incremental
-// fingerprint. It is the replay half of AppendSetState.
-func (c *Cache) RestoreSetState(set int, tags []uint32, flags []uint8, rr int32) {
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.tags[i] != tags[w] || c.flags[i] != flags[w] {
-			c.setLine(i, tags[w], flags[w])
-		}
-	}
-	if c.rrNext[set] != rr {
-		c.setRR(set, rr)
-	}
-}
-
-// RestoreSetStateDelta is RestoreSetState for callers that verified the
-// set currently holds the exact pre-state the snapshot was taken
-// against and precomputed d = post-state set fingerprint XOR pre-state
-// set fingerprint: the ways and pointer are overwritten wholesale and
-// the fingerprints advance by d, with no per-line hashing. Not valid
-// under pseudo-random replacement, whose set fingerprints fold in the
-// global LFSR (the delta would smuggle LFSR state into the line
-// fingerprints).
-func (c *Cache) RestoreSetStateDelta(set int, tags []uint32, flags []uint8, rr int32, d uint64) {
-	base := set * c.cfg.Ways
-	copy(c.tags[base:base+c.cfg.Ways], tags)
-	copy(c.flags[base:base+c.cfg.Ways], flags)
-	c.rrNext[set] = rr
-	c.fp ^= d
-	c.setFP[set] ^= d
-}
-
-// AddStats adds externally accounted hit/miss/writeback counts — the
-// memoized simulator replays a cached block's statistics delta without
-// re-walking its accesses.
-func (c *Cache) AddStats(hits, misses, writebacks uint64) {
-	c.hits += hits
-	c.misses += misses
-	c.writebacks += writebacks
 }
 
 // Equal reports whether two caches of identical configuration hold the

@@ -97,7 +97,6 @@ type Spec struct {
 	PoolThreads       int           `json:"pool_threads,omitempty"`
 	AllocReserveBytes uint32        `json:"alloc_reserve_bytes,omitempty"`
 	MachineReplay     bool          `json:"machine_replay,omitempty"`
-	Memo              bool          `json:"memo,omitempty"`
 }
 
 // SpecFromConfig projects a soak.Config onto the wire form.
@@ -119,7 +118,6 @@ func SpecFromConfig(cfg soak.Config) Spec {
 		PoolThreads:       cfg.PoolThreads,
 		AllocReserveBytes: cfg.AllocReserveBytes,
 		MachineReplay:     cfg.MachineReplay,
-		Memo:              cfg.Memo,
 	}
 }
 
@@ -142,7 +140,6 @@ func (sp Spec) SoakConfig() soak.Config {
 		PoolThreads:       sp.PoolThreads,
 		AllocReserveBytes: sp.AllocReserveBytes,
 		MachineReplay:     sp.MachineReplay,
-		Memo:              sp.Memo,
 	}
 }
 

@@ -146,7 +146,7 @@ var rules = []Rule{
 	},
 	{
 		Name: "replacement-verifiable",
-		Doc:  "only round-robin replacement is verifiable end to end: it is what both modelled cores deploy, and the analyser's must/persistence classification and the memoized replay engine are validated against it (pseudo-random and LRU exist in the cache model as references only)",
+		Doc:  "only round-robin replacement is verifiable end to end: it is what both modelled cores deploy, and the analyser's must/persistence classification is validated against it (pseudo-random and LRU exist in the cache model as references only)",
 		check: func(p Point, b *arch.Backend) error {
 			if p.Replacement != cache.RoundRobin {
 				return fmt.Errorf("cache.replacement=%s is not verifiable (round-robin only)", p.Replacement)

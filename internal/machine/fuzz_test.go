@@ -28,6 +28,18 @@ func (s *byteSrc) u32() uint32 {
 	return uint32(s.next()) | uint32(s.next())<<8 | uint32(s.next())<<16 | uint32(s.next())<<24
 }
 
+// diffConfigs is the platform matrix the fuzz workloads draw from: the
+// paper's evaluated configurations including pinned L1 ways and locked
+// L2 kernel text.
+func diffConfigs() []arch.Config {
+	return []arch.Config{
+		{L2Enabled: true, BranchPredictor: true, PinnedL1Ways: 1, L2LockedKernel: true},
+		{L2Enabled: true, BranchPredictor: true},
+		{L2Enabled: false, BranchPredictor: false, PinnedL1Ways: 1},
+		{L2Enabled: false, BranchPredictor: false},
+	}
+}
+
 // fuzzWorkload decodes (config, image, trace, priming) from raw bytes.
 // It returns ok=false for inputs that cannot form a linkable image.
 func fuzzWorkload(data []byte) (hw arch.Config, img *kimage.Image, trace []*kimage.Block, spec PrimeSpec, ok bool) {
@@ -92,12 +104,12 @@ func fuzzWorkload(data []byte) (hw arch.Config, img *kimage.Image, trace []*kima
 	return hw, img, trace, spec, true
 }
 
-// FuzzMemoEquivalence feeds arbitrary (block sequence, priming spec)
-// workloads through the naive and memoized engines and requires
-// identical cycle counts, PMU counters and final microarchitectural
-// state — including on a second, hit-serving pass against the warmed
-// memo.
-func FuzzMemoEquivalence(f *testing.F) {
+// FuzzMachineDeterministic feeds arbitrary (block sequence, priming
+// spec) workloads through two fresh machines built from the same input
+// and requires identical cycle counts, PMU counters and final
+// microarchitectural state: retirement depends on nothing but the
+// image, the priming and the trace.
+func FuzzMachineDeterministic(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte("\x01\x05seL4 interrupt latency"))
 	f.Add([]byte{2, 7, 0x81, 1, 3, 0x92, 2, 4, 0xff, 0xee, 0xdd, 0xcc, 1, 5, 1})
@@ -107,33 +119,22 @@ func FuzzMemoEquivalence(f *testing.F) {
 		if !ok {
 			t.Skip("unlinkable image")
 		}
-		naive := New(hw)
-		naive.LoadImage(img)
-		naive.Prime(trace, spec)
-		cn := naive.Run(trace)
-
-		memo := NewMemo()
-		run := func() (uint64, Counters, *Machine) {
+		run := func() (uint64, *Machine) {
 			m := New(hw)
 			m.LoadImage(img)
-			m.SetMemo(memo)
 			m.Prime(trace, spec)
-			c := m.Run(trace)
-			return c, m.Counters(), m
+			return m.Run(trace), m
 		}
-		c1, ctr1, m1 := run()
-		if cn != c1 {
-			t.Fatalf("cycles diverged: naive %d memo %d", cn, c1)
+		c1, m1 := run()
+		c2, m2 := run()
+		if c1 != c2 {
+			t.Fatalf("cycles diverged: %d vs %d", c1, c2)
 		}
-		if nc := naive.Counters(); nc != ctr1 {
-			t.Fatalf("counters diverged:\nnaive %+v\nmemo  %+v", nc, ctr1)
+		if a, b := m1.Counters(), m2.Counters(); a != b {
+			t.Fatalf("counters diverged:\n%+v\n%+v", a, b)
 		}
-		if !naive.StateEqual(m1) {
-			t.Fatalf("state diverged:\nnaive:\n%s\nmemo:\n%s", naive.StateString(), m1.StateString())
-		}
-		c2, ctr2, m2 := run()
-		if c2 != c1 || ctr2 != ctr1 || !m1.StateEqual(m2) {
-			t.Fatalf("hit-serving pass diverged: %d vs %d cycles", c1, c2)
+		if !m1.StateEqual(m2) {
+			t.Fatal("identical inputs landed on different machine states")
 		}
 	})
 }

@@ -8,9 +8,6 @@
 package machine
 
 import (
-	"fmt"
-	"sync"
-
 	"verikern/internal/arch"
 	"verikern/internal/cache"
 	"verikern/internal/kimage"
@@ -48,29 +45,11 @@ type Machine struct {
 	execIndex map[*kimage.Block][]uint64
 	// tracer, when set, receives one replay event per Run.
 	tracer *obs.Tracer
-	// memo, when set, retires blocks through the memoized engine.
-	memo *Memo
 }
 
 // SetTracer attaches a tracer; each Run then emits one replay event
 // carrying the trace's cycle count and block count.
 func (m *Machine) SetTracer(t *obs.Tracer) { m.tracer = t }
-
-// SetMemo attaches (or, with nil, detaches) a memoized block-retirement
-// engine. The memo binds to the machine's platform configuration on
-// first attach and may be shared by any number of machines of that
-// configuration — measurement helpers construct a fresh machine per
-// run, and sharing the memo across them is where the speedup comes
-// from. Memos are not safe for concurrent use.
-func (m *Machine) SetMemo(mm *Memo) {
-	if mm != nil {
-		mm.bind(m.cfg)
-	}
-	m.memo = mm
-}
-
-// Memo returns the attached memo engine, nil when retiring naively.
-func (m *Machine) Memo() *Memo { return m.memo }
 
 // New constructs a machine for the platform configuration. Cache
 // geometries are fixed by the configuration's backend; cfg selects the
@@ -265,9 +244,10 @@ func (m *Machine) memAccess(l1 *cache.Cache, addr uint32, write bool) uint64 {
 	return cost + m.b.LatMemL2On
 }
 
-// execIndexSlice returns block b's execution-index slice, allocating a
-// zeroed one on first sight.
-func (m *Machine) execIndexSlice(b *kimage.Block) []uint64 {
+// execIndexFor returns (and advances) the execution index of
+// instruction i in block b, allocating the block's zeroed index slice
+// on first sight.
+func (m *Machine) execIndexFor(b *kimage.Block, i int) uint64 {
 	if m.execIndex == nil {
 		m.execIndex = make(map[*kimage.Block][]uint64)
 	}
@@ -276,13 +256,6 @@ func (m *Machine) execIndexSlice(b *kimage.Block) []uint64 {
 		idx = make([]uint64, len(b.Instrs))
 		m.execIndex[b] = idx
 	}
-	return idx
-}
-
-// execIndexFor returns (and advances) the execution index of
-// instruction i in block b.
-func (m *Machine) execIndexFor(b *kimage.Block, i int) uint64 {
-	idx := m.execIndexSlice(b)
 	n := idx[i]
 	idx[i] = n + 1
 	return n
@@ -304,19 +277,7 @@ func (m *Machine) ResetTrace() {
 // the I-side hierarchy, performs data accesses through the D-side, and
 // charges base pipeline costs. taken tells the branch model whether the
 // block's terminating branch was taken. Returns the cycles consumed.
-// With a memo attached the block retires through the memoized engine,
-// which is cycle- and state-identical to naive retirement (the
-// differential tests hold it to that).
 func (m *Machine) ExecBlock(b *kimage.Block, taken bool) uint64 {
-	if m.memo != nil {
-		return m.memo.exec(m, b, taken)
-	}
-	return m.execBlockNaive(b, taken)
-}
-
-// execBlockNaive is the reference retirement path: every fetch and data
-// access walks the concrete cache hierarchy.
-func (m *Machine) execBlockNaive(b *kimage.Block, taken bool) uint64 {
 	var cycles uint64
 	for i := range b.Instrs {
 		ins := &b.Instrs[i]
@@ -355,16 +316,6 @@ func traceTaken(trace []*kimage.Block, i int) bool {
 	return true
 }
 
-// eventBatchPool recycles the per-run event batch buffers so tracing
-// machines stay allocation-free in steady state; with a nil tracer the
-// pool is never touched at all.
-var eventBatchPool = sync.Pool{
-	New: func() any {
-		s := make([]obs.Event, 0, 4)
-		return &s
-	},
-}
-
 // Run executes a trace of blocks in order, returning total cycles. The
 // per-trace execution indices are reset first; cache and predictor
 // state persists from previous runs (call Pollute, Prime or
@@ -377,27 +328,18 @@ var eventBatchPool = sync.Pool{
 func (m *Machine) Run(trace []*kimage.Block) uint64 {
 	m.ResetTrace()
 	var total uint64
-	if m.memo != nil {
-		// Retire through the memo's run-level engine: a whole-run hit
-		// replays the compiled run effect at once; otherwise blocks
-		// retire through the per-position lookup caches.
-		total = m.memo.runExec(m, trace)
-	} else {
-		for i, b := range trace {
-			total += m.execBlockNaive(b, traceTaken(trace, i))
-		}
+	for i, b := range trace {
+		total += m.ExecBlock(b, traceTaken(trace, i))
 	}
 	if m.tracer != nil {
-		batch := eventBatchPool.Get().(*[]obs.Event)
-		*batch = append((*batch)[:0], obs.Event{
+		ev := [1]obs.Event{{
 			TS:   m.counters.Cycles,
 			Arg1: total,
 			Arg2: uint64(len(trace)),
 			Kind: obs.KindReplay,
 			Op:   obs.OpReplay,
-		})
-		m.tracer.EmitBatch(*batch)
-		eventBatchPool.Put(batch)
+		}}
+		m.tracer.EmitBatch(ev[:])
 	}
 	return total
 }
@@ -423,25 +365,6 @@ func (m *Machine) ResetCounters() {
 	}
 }
 
-// StateFingerprint folds the incremental fingerprints of every cache
-// and the predictor table into one word — equal microarchitectural
-// states produce equal fingerprints. Statistics and counters do not
-// participate.
-func (m *Machine) StateFingerprint() uint64 {
-	h := m.l1i.Fingerprint()
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= m.l1d.Fingerprint()
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	if m.l2 != nil {
-		h ^= m.l2.Fingerprint()
-	}
-	h ^= h >> 31
-	h ^= m.bp.Fingerprint()
-	return h
-}
-
 // StateEqual reports whether two machines of identical configuration
 // hold the same microarchitectural state (caches and predictor).
 func (m *Machine) StateEqual(o *Machine) bool {
@@ -458,14 +381,4 @@ func (m *Machine) StateEqual(o *Machine) bool {
 		return false
 	}
 	return m.bp.Equal(o.bp)
-}
-
-// StateString renders the machine state for differential-test failure
-// messages.
-func (m *Machine) StateString() string {
-	s := "l1i:\n" + m.l1i.StateString() + "l1d:\n" + m.l1d.StateString()
-	if m.l2 != nil {
-		s += "l2:\n" + m.l2.StateString()
-	}
-	return s + fmt.Sprintf("bp fp %#x\n", m.bp.Fingerprint())
 }

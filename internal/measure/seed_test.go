@@ -3,11 +3,11 @@ package measure
 import "testing"
 
 // The seed-derivation chain is part of the reproducibility contract:
-// `kzm-sim -bench-sim` (and every seeded campaign) must derive the
-// same pollution sequences run-to-run and release-to-release, or
-// recorded artifacts (BENCH_sim.json, BENCH_soak.json) stop being
-// comparable. These goldens pin the derivations; changing them is a
-// breaking change to every recorded artifact and must be deliberate.
+// every seeded campaign must derive the same pollution sequences
+// run-to-run and release-to-release, or recorded artifacts
+// (BENCH_soak.json, BENCH_tightness.json) stop being comparable. These
+// goldens pin the derivations; changing them is a breaking change to
+// every recorded artifact and must be deliberate.
 
 func TestPolluteSeedGolden(t *testing.T) {
 	cases := []struct {

@@ -108,63 +108,6 @@ func (p *Predictor) Mistrain(addr uint32, taken bool) {
 // Stats reports correct and incorrect predictions (zero when disabled).
 func (p *Predictor) Stats() (correct, wrong uint64) { return p.hits, p.misses }
 
-// CounterAt returns the raw 2-bit counter the branch at addr indexes.
-// The memoized simulator includes it in a block's retirement key: it is
-// the only predictor state a block's terminating branch can read.
-func (p *Predictor) CounterAt(addr uint32) uint8 {
-	if !p.enabled {
-		return 0
-	}
-	return p.counters[(addr>>2)&p.mask]
-}
-
-// Index returns the counter-table index the branch at addr maps to.
-// Distinct branch addresses can alias one counter; replay layers that
-// coalesce counter writes must dedupe by this index, not by address.
-func (p *Predictor) Index(addr uint32) uint32 {
-	return (addr >> 2) & p.mask
-}
-
-// SetCounter overwrites the counter the branch at addr indexes — the
-// replay half of CounterAt. No-op when prediction is disabled.
-func (p *Predictor) SetCounter(addr uint32, v uint8) {
-	if !p.enabled {
-		return
-	}
-	p.counters[(addr>>2)&p.mask] = v
-}
-
-// AddStats adds externally accounted prediction outcomes — the
-// memoized simulator replays a cached block's statistics delta without
-// re-simulating its branch.
-func (p *Predictor) AddStats(correct, wrong uint64) {
-	p.hits += correct
-	p.misses += wrong
-}
-
-// Fingerprint hashes the full counter table (and the enabled flag), so
-// two predictors with equal observable state fingerprint identically.
-// Statistics do not participate.
-func (p *Predictor) Fingerprint() uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	if p.enabled {
-		h ^= 1
-	}
-	for i := 0; i < len(p.counters); i += 8 {
-		var w uint64
-		for j := 0; j < 8 && i+j < len(p.counters); j++ {
-			w |= uint64(p.counters[i+j]) << (8 * j)
-		}
-		h ^= w
-		h ^= h >> 30
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-		h *= 0x94D049BB133111EB
-		h ^= h >> 31
-	}
-	return h
-}
-
 // Equal reports whether two predictors hold the same observable state.
 func (p *Predictor) Equal(o *Predictor) bool {
 	if p.enabled != o.enabled || len(p.counters) != len(o.counters) {

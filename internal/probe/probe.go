@@ -75,13 +75,6 @@ type Config struct {
 	// Metrics, when set, receives probe counters (probe.evals,
 	// probe.improvements, ...) alongside the analysis pipeline's.
 	Metrics *obs.Metrics
-	// Memo routes the machine-layer search's primed replays through
-	// the memoized block-retirement engine (machine.Memo), shared
-	// across all four entry-point searches of the run. The search
-	// trajectory and report are identical either way — the memoized
-	// engine is differentially proven against the naive one — it is
-	// purely an evaluation-throughput knob.
-	Memo bool
 }
 
 func (c Config) withDefaults() Config {
@@ -197,14 +190,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		kernelBudget = 1
 	}
 
-	// One replayer (and so one memo, when enabled) serves all four
-	// entry searches: they share the image and hardware config, which
-	// is exactly the memo's binding contract.
-	replayer := &measure.Replayer{}
-	if cfg.Memo {
-		replayer.Memo = machine.NewMemo()
-	}
-
 	entries := []string{kbin.EntrySyscall, kbin.EntryInterrupt, kbin.EntryPageFault, kbin.EntryUndefined}
 	var sysBound, irqBound uint64
 	for i, name := range entries {
@@ -219,7 +204,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			irqBound = res.Cycles
 		}
 		rng := rand.New(rand.NewSource(int64(seedRoot) ^ int64(i+1)*0x9E3779B9))
-		e := searchMachine(replayer, img, hw, res, perEntry, rng, cfg.Metrics)
+		e := searchMachine(img, hw, res, perEntry, rng, cfg.Metrics)
 		e.Name = name
 		if e.ObservedMax > e.BoundCycles {
 			rep.Violations++
@@ -247,15 +232,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // analysed entry point: each candidate is a machine.PrimeSpec, its
 // fitness one primed replay of the entry's reconstructed worst-case
 // trace.
-func searchMachine(r *measure.Replayer, img *kimage.Image, hw arch.Config, res *wcet.Result, budget int, rng *rand.Rand, m *obs.Metrics) Entry {
+func searchMachine(img *kimage.Image, hw arch.Config, res *wcet.Result, budget int, rng *rand.Rand, m *obs.Metrics) Entry {
 	best := machine.PrimeSpec{Seed: uint32(rng.Int63()), Footprint: true, Mistrain: true}
-	bestFit := r.ReplayPrimed(img, hw, res.Trace, best)
+	bestFit := measure.ReplayPrimed(img, hw, res.Trace, best)
 	m.Add("probe.evals", 1)
 	m.Add("probe.machine_evals", 1)
 	evals, improvements := 1, 0
 	for evals < budget {
 		cand := mutateSpec(best, rng)
-		fit := r.ReplayPrimed(img, hw, res.Trace, cand)
+		fit := measure.ReplayPrimed(img, hw, res.Trace, cand)
 		evals++
 		m.Add("probe.evals", 1)
 		m.Add("probe.machine_evals", 1)

@@ -76,34 +76,6 @@ func TestProbeDeterministic(t *testing.T) {
 	}
 }
 
-// TestProbeMemoIdentical: the memoized engine is a pure throughput
-// knob — the same probe campaign with Memo on and off must produce the
-// identical report (same search trajectory, same observed maxima, same
-// sentinel verdict), across the preemption × pinning matrix.
-func TestProbeMemoIdentical(t *testing.T) {
-	for _, c := range []struct {
-		preempt, pinned bool
-	}{{true, true}, {true, false}, {false, true}, {false, false}} {
-		run := func(memo bool) *Report {
-			cfg := probeConfig(c.preempt, c.pinned)
-			cfg.Memo = memo
-			rep, err := Run(context.Background(), cfg)
-			if err != nil {
-				t.Fatalf("preempt=%v pinned=%v memo=%v: %v", c.preempt, c.pinned, memo, err)
-			}
-			return rep
-		}
-		naive, memo := run(false), run(true)
-		if !reflect.DeepEqual(naive.Entries, memo.Entries) {
-			t.Errorf("preempt=%v pinned=%v: engines diverged:\nnaive %+v\nmemo  %+v",
-				c.preempt, c.pinned, naive.Entries, memo.Entries)
-		}
-		if naive.Violations != memo.Violations || naive.Status != memo.Status {
-			t.Errorf("preempt=%v pinned=%v: sentinel state diverged", c.preempt, c.pinned)
-		}
-	}
-}
-
 // TestProbeEntryCoverage: the report carries the four machine entry
 // points plus the composed kernel-layer entry, and spends the budget.
 func TestProbeEntryCoverage(t *testing.T) {

@@ -100,12 +100,6 @@ type Config struct {
 	// seeds derive from the campaign seed per worker and per replay, so
 	// machine-replay soaks stay byte-reproducible.
 	MachineReplay bool
-	// Memo routes each worker's machine replays through the memoized
-	// block-retirement engine (machine.Memo, one per worker — workers
-	// run on concurrent goroutines and the memo is not thread-safe).
-	// The replayed cycles and events are identical either way; see
-	// docs/simulator.md.
-	Memo bool
 	// Replay optionally pins a pre-built replay plan, sharing one WCET
 	// analysis across many soaks of the same configuration. Run and
 	// RunFor fill it via BuildReplayPlan when MachineReplay is set and
@@ -352,11 +346,6 @@ func NewRunner(cfg Config, index int) (*Runner, error) {
 		m := machine.New(cfg.Replay.HW)
 		m.LoadImage(cfg.Replay.Img)
 		m.SetTracer(tr)
-		if cfg.Memo {
-			// One memo per worker: workers are concurrent goroutines
-			// and the memo is deliberately not thread-safe.
-			m.SetMemo(machine.NewMemo())
-		}
 		r.replayM = m
 		r.replaySeed = measure.CampaignSeed(seedRoot,
 			fmt.Sprintf("%s/machine-replay/w%d", cfg.Label, index))
@@ -427,8 +416,8 @@ func (r *Runner) Params() Params { return r.params }
 func (r *Runner) MaxObserved() uint64 { return r.sent.maxSeen }
 
 // ReplayMachine exposes the worker's machine-replay simulator (nil
-// unless Config.MachineReplay was armed with a plan) — differential
-// tests compare its final state across engines.
+// unless Config.MachineReplay was armed with a plan), for tests and
+// benchmarks that inspect its counters and final state.
 func (r *Runner) ReplayMachine() *machine.Machine { return r.replayM }
 
 // Replays returns how many interrupt-path replays have run.
