@@ -462,3 +462,8 @@ func (c *Cache) Stats() (hits, misses, writebacks uint64) {
 func (c *Cache) ResetStats() {
 	c.hits, c.misses, c.writebacks = 0, 0, 0
 }
+
+// CreditHits counts n hits that were resolved without a lookup: repeat
+// accesses to a line the previous access left resident, which change
+// no cache state under any policy.
+func (c *Cache) CreditHits(n uint64) { c.hits += n }

@@ -122,7 +122,7 @@ func FuzzMachineDeterministic(f *testing.F) {
 		run := func() (uint64, *Machine) {
 			m := New(hw)
 			m.LoadImage(img)
-			m.Prime(trace, spec)
+			m.Prime(Compile(m.Config(), trace), spec)
 			return m.Run(trace), m
 		}
 		c1, m1 := run()

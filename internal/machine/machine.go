@@ -40,15 +40,15 @@ type Machine struct {
 	bp  *pipeline.Predictor
 
 	counters Counters
-	// execIndex tracks, per instruction, how many times it has run
-	// in the current trace, to resolve strided data references.
-	execIndex map[*kimage.Block][]uint64
-	// tracer, when set, receives one replay event per Run.
+	// scratch and comp hold the program Run lowers its trace into.
+	scratch Program
+	comp    compiler
+	// tracer, when set, receives one replay event per Exec.
 	tracer *obs.Tracer
 }
 
-// SetTracer attaches a tracer; each Run then emits one replay event
-// carrying the trace's cycle count and block count.
+// SetTracer attaches a tracer; each Exec (and so each Run) then emits
+// one replay event carrying the trace's cycle count and block count.
 func (m *Machine) SetTracer(t *obs.Tracer) { m.tracer = t }
 
 // New constructs a machine for the platform configuration. Cache
@@ -161,21 +161,22 @@ type PrimeSpec struct {
 }
 
 // Prime places the machine in an adversarial state for a subsequent
-// Run(trace): full cache pollution, optional footprint-targeted
-// dirtying, replacement-state phase advance, and predictor mistraining.
-// Every priming dimension is bounded by the static analyser's
-// assumptions (all unclassifiable accesses miss with write-back; all
-// branches mispredict when prediction is enabled), so no primed run can
-// exceed a computed bound — the probe's soundness invariant.
-func (m *Machine) Prime(trace []*kimage.Block, spec PrimeSpec) {
+// Exec(p): full cache pollution, optional footprint-targeted dirtying,
+// replacement-state phase advance, and predictor mistraining. Every
+// priming dimension is bounded by the static analyser's assumptions
+// (all unclassifiable accesses miss with write-back; all branches
+// mispredict when prediction is enabled), so no primed run can exceed a
+// computed bound — the probe's soundness invariant. Prime panics if p
+// was compiled for another configuration.
+func (m *Machine) Prime(p *Program, spec PrimeSpec) {
+	m.checkConfig(p)
 	m.Pollute(spec.Seed)
 	if spec.Footprint {
-		code, data := kimage.TraceFootprint(trace)
-		m.l1i.DirtyFootprint(code, spec.Seed^0x3333)
-		m.l1d.DirtyFootprint(data, spec.Seed^0x6666)
+		m.l1i.DirtyFootprint(p.code, spec.Seed^0x3333)
+		m.l1d.DirtyFootprint(p.data, spec.Seed^0x6666)
 		if m.l2 != nil {
-			m.l2.DirtyFootprint(code, spec.Seed^0x9999)
-			m.l2.DirtyFootprint(data, spec.Seed^0xCCCC)
+			m.l2.DirtyFootprint(p.code, spec.Seed^0x9999)
+			m.l2.DirtyFootprint(p.data, spec.Seed^0xCCCC)
 		}
 	}
 	if spec.ReplacementAdvance > 0 {
@@ -186,15 +187,15 @@ func (m *Machine) Prime(trace []*kimage.Block, spec PrimeSpec) {
 		}
 	}
 	if spec.Mistrain {
-		for i, b := range trace {
-			if !b.EndsInBranch() {
-				continue
+		// Only a dynamic predictor keeps branch ops; a constant-cost
+		// predictor has nothing to mistrain.
+		for _, o := range p.ops {
+			switch o.kind {
+			case opBranchNotTaken:
+				m.bp.Mistrain(o.addr, false)
+			case opBranchTaken:
+				m.bp.Mistrain(o.addr, true)
 			}
-			last := b.Addr
-			if n := len(b.Instrs); n > 0 {
-				last = b.InstrAddr(n - 1)
-			}
-			m.bp.Mistrain(last, traceTaken(trace, i))
 		}
 	}
 }
@@ -244,104 +245,55 @@ func (m *Machine) memAccess(l1 *cache.Cache, addr uint32, write bool) uint64 {
 	return cost + m.b.LatMemL2On
 }
 
-// execIndexFor returns (and advances) the execution index of
-// instruction i in block b, allocating the block's zeroed index slice
-// on first sight.
-func (m *Machine) execIndexFor(b *kimage.Block, i int) uint64 {
-	if m.execIndex == nil {
-		m.execIndex = make(map[*kimage.Block][]uint64)
-	}
-	idx := m.execIndex[b]
-	if idx == nil {
-		idx = make([]uint64, len(b.Instrs))
-		m.execIndex[b] = idx
-	}
-	n := idx[i]
-	idx[i] = n + 1
-	return n
-}
-
-// ResetTrace clears per-trace execution state (strided-reference
-// indices) without touching cache or predictor contents. The index
-// slices are zeroed in place rather than dropped, so repeated Runs on
-// one machine reach an allocation-free steady state.
-func (m *Machine) ResetTrace() {
-	for _, idx := range m.execIndex {
-		for i := range idx {
-			idx[i] = 0
-		}
-	}
-}
-
-// ExecBlock executes one basic block: fetches every instruction through
-// the I-side hierarchy, performs data accesses through the D-side, and
-// charges base pipeline costs. taken tells the branch model whether the
-// block's terminating branch was taken. Returns the cycles consumed.
-func (m *Machine) ExecBlock(b *kimage.Block, taken bool) uint64 {
-	var cycles uint64
-	for i := range b.Instrs {
-		ins := &b.Instrs[i]
-		m.counters.Instructions++
-		cycles += m.b.BaseCost(ins.Class)
-		if fa := b.InstrAddr(i); !m.cfg.InITCM(fa) {
-			cycles += m.memAccess(m.l1i, fa, false)
-		}
-		if ins.Data.Base != 0 {
-			n := m.execIndexFor(b, i)
-			if da := ins.Data.Addr(n); !m.cfg.InDTCM(da) {
-				cycles += m.memAccess(m.l1d, da, ins.Data.Write)
-			}
-		}
-	}
-	if b.EndsInBranch() {
-		m.counters.Branches++
-		last := b.Addr
-		if n := len(b.Instrs); n > 0 {
-			last = b.InstrAddr(n - 1)
-		}
-		cycles += m.bp.Branch(last, taken)
-	}
-	m.counters.Cycles += cycles
-	return cycles
-}
-
-// traceTaken reports the direction of block i's terminating branch
-// within a trace: not-taken only when control fell through to the first
-// successor without an intervening call.
-func traceTaken(trace []*kimage.Block, i int) bool {
-	b := trace[i]
-	if i+1 < len(trace) && len(b.Succs) > 0 && trace[i+1].Name == b.Succs[0] && b.Call == "" {
-		return false
-	}
-	return true
-}
-
-// Run executes a trace of blocks in order, returning total cycles. The
-// per-trace execution indices are reset first; cache and predictor
-// state persists from previous runs (call Pollute, Prime or
-// InvalidateCaches to control it).
+// Exec executes a compiled program, returning its cycles. Cache and
+// predictor state persists from previous runs (call Pollute, Prime or
+// InvalidateCaches to control it). Exec panics if p was compiled for
+// another configuration.
 //
 // The run's events are emitted as one batch carrying an explicit
-// replay tag, so a Run fired from inside a traced kernel operation
+// replay tag, so an Exec fired from inside a traced kernel operation
 // (the soak machine-replay path) never disturbs the tracer's
 // current-operation attribution.
-func (m *Machine) Run(trace []*kimage.Block) uint64 {
-	m.ResetTrace()
-	var total uint64
-	for i, b := range trace {
-		total += m.ExecBlock(b, traceTaken(trace, i))
+func (m *Machine) Exec(p *Program) uint64 {
+	m.checkConfig(p)
+	cycles := p.base
+	for _, o := range p.ops {
+		switch o.kind {
+		case opFetch:
+			cycles += m.memAccess(m.l1i, o.addr, false)
+		case opLoad:
+			cycles += m.memAccess(m.l1d, o.addr, false)
+		case opStore:
+			cycles += m.memAccess(m.l1d, o.addr, true)
+		case opBranchNotTaken:
+			cycles += m.bp.Branch(o.addr, false)
+		case opBranchTaken:
+			cycles += m.bp.Branch(o.addr, true)
+		}
 	}
+	m.l1i.CreditHits(p.lineHits)
+	m.counters.Instructions += p.instrs
+	m.counters.Branches += p.branches
+	m.counters.Cycles += cycles
 	if m.tracer != nil {
 		ev := [1]obs.Event{{
 			TS:   m.counters.Cycles,
-			Arg1: total,
-			Arg2: uint64(len(trace)),
+			Arg1: cycles,
+			Arg2: p.blocks,
 			Kind: obs.KindReplay,
 			Op:   obs.OpReplay,
 		}}
 		m.tracer.EmitBatch(ev[:])
 	}
-	return total
+	return cycles
+}
+
+// Run executes a trace of blocks in order, returning total cycles. It
+// lowers the trace into a machine-owned scratch program and Execs it;
+// callers replaying one trace many times Compile it once instead.
+func (m *Machine) Run(trace []*kimage.Block) uint64 {
+	m.comp.lower(&m.scratch, m.cfg, trace)
+	return m.Exec(&m.scratch)
 }
 
 // Counters returns the accumulated PMU counters.

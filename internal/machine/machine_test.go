@@ -192,3 +192,22 @@ func TestCyclesToMicros(t *testing.T) {
 		t.Errorf("532 cycles = %v µs, want 1.0", got)
 	}
 }
+
+// TestRunAllocationFree: Run lowers into machine-owned scratch, so
+// repeated Runs reach an allocation-free steady state, and Exec of a
+// compiled program never allocates.
+func TestRunAllocationFree(t *testing.T) {
+	_, linear := buildLinear(t, 64)
+	_, load := buildLoad(t)
+	for _, trace := range [][]*kimage.Block{linear, load} {
+		m := New(arch.Config{L2Enabled: true, BranchPredictor: true})
+		m.Run(trace)
+		if n := testing.AllocsPerRun(50, func() { m.Run(trace) }); n != 0 {
+			t.Errorf("Run allocated %.1f times per call in steady state", n)
+		}
+		p := Compile(m.Config(), trace)
+		if n := testing.AllocsPerRun(50, func() { m.Exec(p) }); n != 0 {
+			t.Errorf("Exec allocated %.1f times per call", n)
+		}
+	}
+}

@@ -34,7 +34,7 @@ func TestPrimeFootprintEvictsWarmLines(t *testing.T) {
 	if warm >= cold {
 		t.Fatalf("warm run %d not faster than cold %d", warm, cold)
 	}
-	m.Prime(trace, PrimeSpec{Seed: 7, Footprint: true})
+	m.Prime(Compile(m.Config(), trace), PrimeSpec{Seed: 7, Footprint: true})
 	primed := m.Run(trace)
 	if primed < cold {
 		t.Errorf("footprint-primed run %d cheaper than cold run %d", primed, cold)
@@ -54,7 +54,7 @@ func TestPrimeFootprintAtLeastPollution(t *testing.T) {
 
 		mf := New(arch.Config{})
 		mf.LoadImage(img)
-		mf.Prime(trace, PrimeSpec{Seed: seed, Footprint: true})
+		mf.Prime(Compile(mf.Config(), trace), PrimeSpec{Seed: seed, Footprint: true})
 		primed := mf.Run(trace)
 		if primed < polluted {
 			t.Errorf("seed %d: footprint prime %d cycles < plain pollution %d", seed, primed, polluted)
@@ -72,7 +72,7 @@ func TestPrimeMistrainForcesMispredicts(t *testing.T) {
 	// state mistraining must overcome.
 	m.Run(trace)
 	m.Run(trace)
-	m.Prime(trace, PrimeSpec{Seed: 3, Mistrain: true})
+	m.Prime(Compile(m.Config(), trace), PrimeSpec{Seed: 3, Mistrain: true})
 	before, _ := m.bp.Stats()
 	m.Run(trace)
 	correct, wrong := m.bp.Stats()
@@ -92,7 +92,7 @@ func TestPrimeReplacementAdvanceDeterministic(t *testing.T) {
 	run := func() uint64 {
 		m := New(arch.Config{BranchPredictor: true})
 		m.LoadImage(img)
-		m.Prime(trace, spec)
+		m.Prime(Compile(m.Config(), trace), spec)
 		return m.Run(trace)
 	}
 	a, b := run(), run()
@@ -111,7 +111,7 @@ func TestPrimeKeepsPinnedLines(t *testing.T) {
 	if failed := m.LoadImage(img); failed != 0 {
 		t.Fatalf("%d pin failures", failed)
 	}
-	m.Prime(trace, PrimeSpec{Seed: 5, Footprint: true, ReplacementAdvance: 2})
+	m.Prime(Compile(m.Config(), trace), PrimeSpec{Seed: 5, Footprint: true, ReplacementAdvance: 2})
 	if !m.l1i.Pinned(trace[0].InstrAddr(0)) {
 		t.Errorf("pinned instruction line lost after Prime")
 	}

@@ -115,6 +115,7 @@ func ObserveSeeded(img *kimage.Image, hw arch.Config, trace []*kimage.Block, run
 	if runs <= 0 {
 		runs = 1
 	}
+	p := machine.Compile(hw, trace)
 	var o Observation
 	o.Runs = runs
 	o.Min = ^uint64(0)
@@ -123,7 +124,7 @@ func ObserveSeeded(img *kimage.Image, hw arch.Config, trace []*kimage.Block, run
 		m := machine.New(hw)
 		m.LoadImage(img)
 		m.Pollute(PolluteSeed(base, i))
-		c := m.Run(trace)
+		c := m.Exec(p)
 		if c > o.Max {
 			o.Max = c
 		}
@@ -137,16 +138,24 @@ func ObserveSeeded(img *kimage.Image, hw arch.Config, trace []*kimage.Block, run
 }
 
 // ReplayPrimed measures one execution of trace from an explicitly
-// primed adversarial machine state (targeted footprint eviction,
-// replacement-phase advance, predictor mistraining) instead of blind
-// pollution. It is the evaluation primitive of the directed worst-case
-// probe: each search candidate is one PrimeSpec, and its fitness is the
-// cycles this returns.
+// primed adversarial machine state. It compiles the trace on every
+// call; an evaluation loop compiles once and calls ReplayProgram.
 func ReplayPrimed(img *kimage.Image, hw arch.Config, trace []*kimage.Block, spec machine.PrimeSpec) uint64 {
-	m := machine.New(hw)
+	return ReplayProgram(img, machine.Compile(hw, trace), spec)
+}
+
+// ReplayProgram measures one execution of a compiled program from an
+// explicitly primed adversarial machine state (targeted footprint
+// eviction, replacement-phase advance, predictor mistraining) instead
+// of blind pollution, on a fresh machine of the program's
+// configuration. It is the evaluation primitive of the directed
+// worst-case probe: each search candidate is one PrimeSpec, and its
+// fitness is the cycles this returns.
+func ReplayProgram(img *kimage.Image, p *machine.Program, spec machine.PrimeSpec) uint64 {
+	m := machine.New(p.Config())
 	m.LoadImage(img)
-	m.Prime(trace, spec)
-	return m.Run(trace)
+	m.Prime(p, spec)
+	return m.Exec(p)
 }
 
 // Replayer is the method form of the replay helpers. It has no
@@ -159,40 +168,15 @@ func (Replayer) ReplayPrimed(img *kimage.Image, hw arch.Config, trace []*kimage.
 	return ReplayPrimed(img, hw, trace, spec)
 }
 
-// ObservePrimed runs one primed replay per spec and reports the
-// distribution alongside the per-spec observations (index-aligned with
-// specs), so a caller can both rank candidates and fold the campaign
-// into an Observation.
-func ObservePrimed(img *kimage.Image, hw arch.Config, trace []*kimage.Block, specs []machine.PrimeSpec) (Observation, []uint64) {
-	if len(specs) == 0 {
-		return Observation{}, nil
-	}
-	o := Observation{Runs: len(specs), Min: ^uint64(0)}
-	per := make([]uint64, len(specs))
-	var sum uint64
-	for i, spec := range specs {
-		c := ReplayPrimed(img, hw, trace, spec)
-		per[i] = c
-		if c > o.Max {
-			o.Max = c
-		}
-		if c < o.Min {
-			o.Min = c
-		}
-		sum += c
-	}
-	o.Mean = float64(sum) / float64(len(specs))
-	return o, per
-}
-
 // ObserveWarm measures the best case: the trace is run twice on the
 // same machine and the second (warm) time is reported. This is the
 // fastpath-style measurement used for the IPC fastpath figure (§6.1).
 func ObserveWarm(img *kimage.Image, hw arch.Config, trace []*kimage.Block) uint64 {
+	p := machine.Compile(hw, trace)
 	m := machine.New(hw)
 	m.LoadImage(img)
-	m.Run(trace)
-	return m.Run(trace)
+	m.Exec(p)
+	return m.Exec(p)
 }
 
 // Ratio returns computed/observed, the pessimism ratio reported in

@@ -231,16 +231,18 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // searchMachine hill-climbs the adversarial priming knobs for one
 // analysed entry point: each candidate is a machine.PrimeSpec, its
 // fitness one primed replay of the entry's reconstructed worst-case
-// trace.
+// trace. The trace is compiled once per entry and every candidate
+// replays the same program.
 func searchMachine(img *kimage.Image, hw arch.Config, res *wcet.Result, budget int, rng *rand.Rand, m *obs.Metrics) Entry {
+	prog := machine.Compile(hw, res.Trace)
 	best := machine.PrimeSpec{Seed: uint32(rng.Int63()), Footprint: true, Mistrain: true}
-	bestFit := measure.ReplayPrimed(img, hw, res.Trace, best)
+	bestFit := measure.ReplayProgram(img, prog, best)
 	m.Add("probe.evals", 1)
 	m.Add("probe.machine_evals", 1)
 	evals, improvements := 1, 0
 	for evals < budget {
 		cand := mutateSpec(best, rng)
-		fit := measure.ReplayPrimed(img, hw, res.Trace, cand)
+		fit := measure.ReplayProgram(img, prog, cand)
 		evals++
 		m.Add("probe.evals", 1)
 		m.Add("probe.machine_evals", 1)

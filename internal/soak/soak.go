@@ -349,7 +349,9 @@ func NewRunner(cfg Config, index int) (*Runner, error) {
 		r.replayM = m
 		r.replaySeed = measure.CampaignSeed(seedRoot,
 			fmt.Sprintf("%s/machine-replay/w%d", cfg.Label, index))
-		plan := cfg.Replay
+		// The plan trace is lowered once per runner; every serviced
+		// IRQ replays the same program.
+		prog := machine.Compile(cfg.Replay.HW, cfg.Replay.Trace)
 		hook = func(sm obs.Sample) {
 			r.sent.sample(sm)
 			// Pollution is per-replay and campaign-derived, so the
@@ -357,7 +359,7 @@ func NewRunner(cfg Config, index int) (*Runner, error) {
 			// run-to-run yet never reuse a pollution sequence.
 			m.Pollute(measure.PolluteSeed(r.replaySeed, int(r.replays)))
 			r.replays++
-			m.Run(plan.Trace)
+			m.Exec(prog)
 		}
 	}
 	tr.SetSampleHook(hook)
