@@ -363,13 +363,11 @@ func checkAgainstOracle(t *testing.T, c *Checker, b []byte) []Violation {
 // reaches the overlap checker's cases: states with and without illegal
 // overlaps, with legal nesting, and with footprints wrapping at 2^32.
 func TestCheckEquivalence(t *testing.T) {
-	const runs = 3000
-	r := rand.New(rand.NewSource(1))
+	inputs := equivalenceInputs()
+	runs := len(inputs)
 	var c Checker
 	var overlapping, nested, wrapping int
-	for i := 0; i < runs; i++ {
-		b := make([]byte, 64+r.Intn(448))
-		r.Read(b)
+	for _, b := range inputs {
 		for _, v := range checkAgainstOracle(t, &c, b) {
 			if v.Invariant == "object-overlap" {
 				overlapping++
@@ -397,17 +395,77 @@ func TestCheckEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzCheckEquivalence is TestCheckEquivalence under the fuzzer.
-func FuzzCheckEquivalence(f *testing.F) {
+// equivalenceInputs returns TestCheckEquivalence's random inputs.
+func equivalenceInputs() [][]byte {
+	r := rand.New(rand.NewSource(1))
+	inputs := make([][]byte, 3000)
+	for i := range inputs {
+		inputs[i] = make([]byte, 64+r.Intn(448))
+		r.Read(inputs[i])
+	}
+	return inputs
+}
+
+// fuzzSeeds returns FuzzCheckEquivalence's seed corpus.
+func fuzzSeeds() [][]byte {
 	r := rand.New(rand.NewSource(2))
+	var seeds [][]byte
 	for i := 0; i < 16; i++ {
 		b := make([]byte, 32*(i+1))
 		r.Read(b)
+		seeds = append(seeds, b)
+	}
+	return append(seeds, []byte{})
+}
+
+// FuzzCheckEquivalence is TestCheckEquivalence and TestExitFold under
+// the fuzzer.
+func FuzzCheckEquivalence(f *testing.F) {
+	for _, b := range fuzzSeeds() {
 		f.Add(b)
 	}
-	f.Add([]byte{})
 	var c Checker
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkAgainstOracle(t, &c, b)
+		checkExitFold(t, &c, b)
 	})
+}
+
+// checkExitFold asserts the fact the kernel's exit fold rests on, on
+// the state decoded from b: the check with AtKernelExit false reports
+// the check with it true minus its KernelWindow entries, element for
+// element. It returns how many KernelWindow entries were dropped.
+func checkExitFold(t *testing.T, c *Checker, b []byte) int {
+	t.Helper()
+	s := genState(b)
+	s.AtKernelExit = true
+	exit := c.Check(s)
+	var want []Violation
+	for _, v := range exit {
+		if v.Invariant != KernelWindow {
+			want = append(want, v)
+		}
+	}
+	s.AtKernelExit = false
+	if got := c.Check(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("input %x:\npre-exit: %v\nexit without %s: %v", b, got, KernelWindow, want)
+	}
+	return len(exit) - len(want)
+}
+
+// TestExitFold runs checkExitFold over TestCheckEquivalence's inputs
+// and the fuzz seed corpus, and checks that some of them break
+// KernelWindow, so the fold has entries to drop.
+func TestExitFold(t *testing.T) {
+	var c Checker
+	folded := 0
+	for _, b := range append(equivalenceInputs(), fuzzSeeds()...) {
+		if checkExitFold(t, &c, b) > 0 {
+			folded++
+		}
+	}
+	t.Logf("%d states break %s at exit", folded, KernelWindow)
+	if folded == 0 {
+		t.Errorf("no generated state breaks %s, so the fold is untested", KernelWindow)
+	}
 }

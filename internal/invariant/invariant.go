@@ -8,9 +8,15 @@
 // (§3.4), kernel-window presence in every page directory (§3.5), and
 // shadow back-pointer eagerness (§3.6).
 //
-// The kernel runs the full suite after every operation and at every
-// preemption point; a violation is this repository's equivalent of a
-// failed proof obligation.
+// The kernel checks the suite at every preemption point and on both
+// sides of every kernel exit; a violation is this repository's
+// equivalent of a failed proof obligation. Two exact shortcuts keep
+// that cheap. An exit that services no interrupt leaves the state
+// unchanged between its pre-exit and exit checks, and KernelWindow is
+// the only invariant gated on AtKernelExit, so the kernel runs the exit
+// check once and derives the pre-exit list by dropping KernelWindow
+// entries. And a Checker skips the object checks (alignment, overlap,
+// live set) when State.Layout names a layout it last found clean.
 package invariant
 
 import (
@@ -23,6 +29,12 @@ import (
 	"verikern/internal/sched"
 	"verikern/internal/vspace"
 )
+
+// KernelWindow names the one invariant checked only at kernel exit
+// (State.AtKernelExit): every page directory holds the kernel window.
+// Without it, a check with AtKernelExit false reports exactly the
+// check with it true, minus the KernelWindow entries.
+const KernelWindow = "kernel-window"
 
 // Violation is one failed invariant.
 type Violation struct {
@@ -47,8 +59,12 @@ type State struct {
 	// VSpace is the active address-space manager.
 	VSpace vspace.Manager
 	// AtKernelExit strengthens the checks that only need to hold on
-	// exit (kernel-window presence).
+	// exit (KernelWindow).
 	AtKernelExit bool
+	// Layout is the generation of Objects' layout
+	// (kobj.Manager.Layout), or zero when unknown. A Checker skips
+	// the object checks when it last found this generation clean.
+	Layout uint64
 }
 
 // Check runs every invariant and returns all violations (empty when
@@ -80,12 +96,17 @@ type Checker struct {
 	// notification queue being walked.
 	queued  map[*kobj.TCB]int
 	inQueue map[*kobj.TCB]bool
+
+	// cleanLayout is the last non-zero State.Layout whose object
+	// checks found nothing, or zero.
+	cleanLayout uint64
 }
 
-// span is one object's physical footprint [start, end) and its index
-// in State.Objects.
+// span is one object's physical footprint [start, end), whether it is
+// an untyped, and its index in State.Objects.
 type span struct {
 	start, end uint32
+	untyped    bool
 	idx        int
 }
 
@@ -101,7 +122,15 @@ func (c *Checker) Check(s *State) []Violation {
 		c.inQueue = make(map[*kobj.TCB]bool)
 	}
 	c.out = nil
-	c.checkObjects(s)
+	// The object checks read only the layout, so a layout found clean
+	// stays clean. A broken one is re-checked, so it reports again.
+	if s.Layout == 0 || s.Layout != c.cleanLayout {
+		c.checkObjects(s)
+		c.cleanLayout = 0
+		if len(c.out) == 0 {
+			c.cleanLayout = s.Layout
+		}
+	}
 	c.checkRunQueues(s)
 	c.checkEndpoints(s)
 	c.checkNotifications(s)
@@ -148,6 +177,12 @@ func (c *Checker) checkObjects(s *State) {
 // nested untypeds is the nesting depth. A footprint that wraps past
 // 2^32 (End() <= PAddr) breaks the interval order, so such a state
 // falls back to the all-pairs test.
+//
+// Containment is read off the spans. An active span a starts at or
+// before the current span sp, so kobj.Contains(a, sp) holds exactly
+// when a is untyped and sp ends within it, and kobj.Contains(sp, a)
+// exactly when sp is untyped, starts where a does, and a ends within
+// it.
 func (c *Checker) overlaps(objs []kobj.Object) []pair {
 	c.pairs = c.pairs[:0]
 	c.spans = c.spans[:0]
@@ -161,7 +196,7 @@ func (c *Checker) overlaps(objs []kobj.Object) []pair {
 		if i > 0 && h.PAddr < c.spans[i-1].start {
 			sorted = false
 		}
-		c.spans = append(c.spans, span{start: h.PAddr, end: end, idx: i})
+		c.spans = append(c.spans, span{start: h.PAddr, end: end, untyped: h.Type == kobj.TypeUntyped, idx: i})
 	}
 	// Retyping allocates at a rising watermark and destruction keeps
 	// the live set's order, so the objects usually arrive sorted.
@@ -174,9 +209,12 @@ func (c *Checker) overlaps(objs []kobj.Object) []pair {
 		// start overlaps neither this one nor any later one.
 		live := active[:0]
 		for _, a := range active {
-			if a.end > sp.start {
-				live = append(live, a)
-				c.addPair(objs, a.idx, sp.idx)
+			if a.end <= sp.start {
+				continue
+			}
+			live = append(live, a)
+			if !(a.untyped && sp.end <= a.end) && !(sp.untyped && sp.start == a.start && a.end <= sp.end) {
+				c.pairs = append(c.pairs, pair{min(a.idx, sp.idx), max(a.idx, sp.idx)})
 			}
 		}
 		active = append(live, sp)
@@ -191,7 +229,8 @@ func (c *Checker) overlaps(objs []kobj.Object) []pair {
 	return c.pairs
 }
 
-// overlapsPairwise is overlaps by testing every pair.
+// overlapsPairwise is overlaps by testing every pair, for footprints
+// that wrap.
 func (c *Checker) overlapsPairwise(objs []kobj.Object) []pair {
 	for i, o := range objs {
 		for j := i + 1; j < len(objs); j++ {
@@ -452,7 +491,7 @@ func (c *Checker) checkVSpace(s *State) {
 		// global mappings — an invariant that must be maintained
 		// upon exiting the kernel".
 		if s.AtKernelExit && !pd.KernelWindowCopied {
-			c.add("kernel-window", "pd %d missing kernel mappings at kernel exit", pd.ID)
+			c.add(KernelWindow, "pd %d missing kernel mappings at kernel exit", pd.ID)
 		}
 		for di := 0; di < kobj.PDEntries; di++ {
 			pt := pd.Tables[di]

@@ -89,6 +89,33 @@ func TestDetectsDestroyedInLiveSet(t *testing.T) {
 	mustViolate(t, s, "live-objects")
 }
 
+// TestLayoutSkip: a Checker skips the object checks only for the
+// layout generation it last found clean, and re-checks a broken layout
+// on every call.
+func TestLayoutSkip(t *testing.T) {
+	s, m, _, _ := cleanState(t)
+	var c Checker
+	s.Layout = m.Layout()
+	if vs := c.Check(s); len(vs) != 0 {
+		t.Fatalf("clean state reported violations: %v", vs)
+	}
+	// Misaligning an object without a new generation breaks the
+	// generation's promise; the skip shows as a missed violation.
+	s.Objects[len(s.Objects)-1].Hdr().PAddr += 8
+	if vs := c.Check(s); len(vs) != 0 {
+		t.Fatalf("object checks ran for a generation found clean: %v", vs)
+	}
+	for _, layout := range []uint64{0, s.Layout + 1<<62} {
+		s.Layout = layout
+		for pass := 0; pass < 2; pass++ {
+			vs := c.Check(s)
+			if len(vs) != 1 || vs[0].Invariant != "object-alignment" {
+				t.Fatalf("layout %d pass %d: got %v, want one object-alignment violation", layout, pass, vs)
+			}
+		}
+	}
+}
+
 func TestDetectsBennoViolation(t *testing.T) {
 	s, _, queued, _ := cleanState(t)
 	// A queued thread that blocks without being dequeued breaks the

@@ -71,12 +71,18 @@ func (k *Kernel) runRestartable(t *kobj.TCB, decodeLevels int, op obs.Op, body f
 
 // finishSyscall is the common kernel-exit path: any pending interrupt
 // is serviced now that interrupts are about to be re-enabled, exit cost
-// is charged, and the exit-time invariants are checked.
+// is charged, and the invariants are checked before and at exit.
+// Polling and charging touch no invariant input, so the pre-exit check
+// runs after the poll, and with no interrupt to service both checks
+// see the same state: one exit check then stands for the pair.
 func (k *Kernel) finishSyscall() {
-	k.checkInvariants(false)
-	if k.pollIRQ() {
-		k.serviceIRQ()
+	if !k.pollIRQ() {
+		k.clock.Advance(CostKernelExit)
+		k.checkUnchangedExit()
+		return
 	}
+	k.checkInvariants(false)
+	k.serviceIRQ()
 	k.clock.Advance(CostKernelExit)
 	k.checkInvariants(true)
 }

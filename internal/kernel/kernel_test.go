@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"verikern/internal/invariant"
 	"verikern/internal/kobj"
 	"verikern/internal/sched"
 	"verikern/internal/vspace"
@@ -44,6 +45,34 @@ func assertClean(t *testing.T, k *Kernel) {
 	t.Helper()
 	if err := k.InvariantFailure(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExitFoldKeepsPreExitList: a kernel exit records its pre-exit
+// check without the exit-only KernelWindow entry whether or not it
+// services an interrupt, so a page directory missing the kernel
+// window is reported once per exit.
+func TestExitFoldKeepsPreExitList(t *testing.T) {
+	k := boot(t, Modern())
+	owner := mustThread(t, k, "owner", 100)
+	pdAddrs, err := k.CreateObjects(owner, kobj.TypePageDirectory, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.AssignVSpace(owner, pdAddrs[0]); err != nil {
+		t.Fatal(err)
+	}
+	assertClean(t, k)
+	owner.VSpaceRoot.KernelWindowCopied = false
+	k.Yield()
+	k.RaiseIRQ()
+	k.Yield()
+	vs := k.Violations()
+	if len(vs) != 2 || vs[0].Invariant != invariant.KernelWindow || vs[1] != vs[0] {
+		t.Errorf("two exits recorded %v, want one %s violation each", vs, invariant.KernelWindow)
+	}
+	if k.Stats().IRQsServiced != 1 {
+		t.Errorf("serviced %d IRQs, want 1", k.Stats().IRQsServiced)
 	}
 }
 

@@ -127,6 +127,49 @@ func TestDestroyRemovesFromLiveSet(t *testing.T) {
 	}
 }
 
+// TestLayoutGeneration: the layout generation moves on every retyped
+// object and every Destroy, and no value is reported by two managers.
+func TestLayoutGeneration(t *testing.T) {
+	m1, u1 := newTestManager(t)
+	m2, u2 := newTestManager(t)
+	seen := map[uint64]*Manager{}
+	record := func(m *Manager, what string) {
+		t.Helper()
+		g := m.Layout()
+		if g == 0 {
+			t.Fatalf("%s: zero layout generation", what)
+		}
+		if prev, ok := seen[g]; ok && prev != m {
+			t.Fatalf("%s: generation %d reported by two managers", what, g)
+		}
+		seen[g] = m
+	}
+	record(m1, "boot 1")
+	record(m2, "boot 2")
+	for round := 0; round < 4; round++ {
+		for _, mu := range []struct {
+			m *Manager
+			u *Untyped
+		}{{m1, u1}, {m2, u2}} {
+			before := mu.m.Layout()
+			objs, err := mu.m.Retype(mu.u, TypeEndpoint, 0, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := mu.m.Layout(); after < before+uint64(len(objs)) {
+				t.Fatalf("retyping %d objects moved the generation %d -> %d", len(objs), before, after)
+			}
+			record(mu.m, "retype")
+			before = mu.m.Layout()
+			mu.m.Destroy(objs[1])
+			if mu.m.Layout() == before {
+				t.Fatal("Destroy kept the generation")
+			}
+			record(mu.m, "destroy")
+		}
+	}
+}
+
 // buildCSpace constructs a cap space: root CNode with radix bits r0 and
 // guard g, holding a leaf endpoint cap.
 func buildLinearCSpace(t *testing.T, m *Manager, u *Untyped, levels int) (Cap, uint32, *Endpoint) {

@@ -2,6 +2,7 @@ package kobj
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"verikern/internal/arch"
 )
@@ -19,6 +20,8 @@ type Manager struct {
 	// objects holds every live object, for the alignment and
 	// non-overlap invariants.
 	objects []Object
+	// layout names the current object layout (see Layout).
+	layout uint64
 	// mdbHead is the sentinel of the global derivation-tree list.
 	mdbHead Slot
 }
@@ -40,6 +43,17 @@ func (m *Manager) Objects() []Object { return m.objects }
 // MDBHead returns the derivation-tree sentinel, for invariant walks.
 func (m *Manager) MDBHead() *Slot { return &m.mdbHead }
 
+// layouts issues layout generations process-wide, so no value ever
+// names two layouts, even across managers.
+var layouts atomic.Uint64
+
+// Layout returns the generation of the object layout: the live set
+// and each live object's Type, PAddr, SizeBits and Destroyed. Only
+// register and Destroy change these, and each draws a fresh value, so
+// two reads that return the same non-zero value saw the same layout.
+// Zero means no object has been registered yet.
+func (m *Manager) Layout() uint64 { return m.layout }
+
 func (m *Manager) register(o Object, t ObjType, sizeBits uint8, paddr uint32) {
 	h := o.Hdr()
 	h.Type = t
@@ -48,6 +62,7 @@ func (m *Manager) register(o Object, t ObjType, sizeBits uint8, paddr uint32) {
 	m.nextID++
 	h.ID = m.nextID
 	m.objects = append(m.objects, o)
+	m.layout = layouts.Add(1)
 }
 
 // alignUp rounds v up to a multiple of 2^bits.
@@ -178,6 +193,7 @@ func (m *Manager) Retype(u *Untyped, t ObjType, param uint8, count int) ([]Objec
 func (m *Manager) Destroy(o Object) {
 	h := o.Hdr()
 	h.Destroyed = true
+	m.layout = layouts.Add(1)
 	for i, x := range m.objects {
 		if x == o {
 			m.objects = append(m.objects[:i], m.objects[i+1:]...)

@@ -15,6 +15,48 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the invariant-failure golden")
 
+// TestSoakInvariantsOn runs the benno+nopreempt point of the legacy
+// soak matrix with the proof invariants checked at every kernel exit,
+// seeds 1-10 × 2,500 ops, and asserts that no invariant breaks. The
+// preempting points break mdb-depth after a preempted revoke (a known
+// model defect), which TestInvariantFailureGolden pins instead.
+func TestSoakInvariantsOn(t *testing.T) {
+	const ops = 2500
+	m, err := konfig.LegacySoakMatrix(arch.ARM1136ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, np := range m {
+		if np.Name != "benno+nopreempt" {
+			continue
+		}
+		p, err := np.Point.Set("debug.check-invariants", "true")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 10; seed++ {
+			rn, err := soak.NewRunner(soak.Config{
+				Label:  np.Name,
+				Arch:   p.Arch,
+				Seed:   seed,
+				Kernel: p.KernelConfig(),
+				Pinned: p.Pinned(),
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rn.Step(ops); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if vs := rn.Kernel().Violations(); len(vs) != 0 {
+				t.Fatalf("seed %d: %d violations, first: %s", seed, len(vs), vs[0])
+			}
+		}
+		return
+	}
+	t.Fatal("no benno+nopreempt point in the legacy soak matrix")
+}
+
 // failureOps is how many ops each golden campaign runs.
 const failureOps = 1000
 

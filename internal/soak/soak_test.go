@@ -233,19 +233,6 @@ func TestCaptureCarriesShardIdentity(t *testing.T) {
 	}
 }
 
-// TestSoakInvariantsOn runs a small soak with the kernel's proof
-// invariants checked at every preemption point and kernel exit.
-func TestSoakInvariantsOn(t *testing.T) {
-	cfg := Config{Label: "inv", Seed: 3, Ops: 300, Workers: 1, Kernel: kernel.Modern(), BoundCycles: 142_957}
-	rep, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ops != 300 {
-		t.Errorf("ran %d ops", rep.Ops)
-	}
-}
-
 // TestSoakCancel: a cancelled context stops the run between chunks and
 // surfaces the context error with a partial report.
 func TestSoakCancel(t *testing.T) {
