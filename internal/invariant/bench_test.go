@@ -14,6 +14,13 @@ import (
 // point after ops soak ops at seed 1, run with checking off.
 func soakedState(tb testing.TB, point string, ops int) *invariant.State {
 	tb.Helper()
+	return kernelState(soakedKernel(tb, point, ops))
+}
+
+// soakedKernel returns the kernel of the named legacy soak-matrix point
+// after ops soak ops at seed 1, run with checking off.
+func soakedKernel(tb testing.TB, point string, ops int) *kernel.Kernel {
+	tb.Helper()
 	m, err := konfig.LegacySoakMatrix(arch.ARM1136ID)
 	if err != nil {
 		tb.Fatal(err)
@@ -31,7 +38,7 @@ func soakedState(tb testing.TB, point string, ops int) *invariant.State {
 		if err := rn.Step(ops); err != nil {
 			tb.Fatal(err)
 		}
-		return kernelState(rn.Kernel())
+		return rn.Kernel()
 	}
 	tb.Fatalf("no soak point %q", point)
 	return nil
@@ -62,19 +69,32 @@ func TestCheckerAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkCheck times one full check, with a reused Checker, of the
-// kernel state after 500 soak ops at the modern (benno+preempt) and
-// lazy soak points.
+// BenchmarkCheck times one check, with a reused Checker, of the kernel
+// state after 500 soak ops at the modern (benno+preempt) and lazy soak
+// points, two ways: "full" passes Layout 0, so every check runs the
+// object checks and rebuilds the typed index; "kernel" passes the
+// object manager's layout generation, as the kernel does, so both are
+// reused from the first check.
 func BenchmarkCheck(b *testing.B) {
 	for _, point := range []string{"benno+preempt", "lazy"} {
-		st := soakedState(b, point, 500)
+		k := soakedKernel(b, point, 500)
+		full := kernelState(k)
+		kept := *full
+		kept.Layout = k.Objects().Layout()
 		b.Run(point, func(b *testing.B) {
-			var c invariant.Checker
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c.Check(st)
+			for _, bc := range []struct {
+				name string
+				st   *invariant.State
+			}{{"full", full}, {"kernel", &kept}} {
+				b.Run(bc.name, func(b *testing.B) {
+					var c invariant.Checker
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						c.Check(bc.st)
+					}
+					b.ReportMetric(float64(len(bc.st.Objects)), "objects")
+				})
 			}
-			b.ReportMetric(float64(len(st.Objects)), "objects")
 		})
 	}
 }

@@ -10,13 +10,20 @@
 //
 // The kernel checks the suite at every preemption point and on both
 // sides of every kernel exit; a violation is this repository's
-// equivalent of a failed proof obligation. Two exact shortcuts keep
+// equivalent of a failed proof obligation. Three exact shortcuts keep
 // that cheap. An exit that services no interrupt leaves the state
 // unchanged between its pre-exit and exit checks, and KernelWindow is
 // the only invariant gated on AtKernelExit, so the kernel runs the exit
 // check once and derives the pre-exit list by dropping KernelWindow
-// entries. And a Checker skips the object checks (alignment, overlap,
-// live set) when State.Layout names a layout it last found clean.
+// entries. A Checker skips the object checks (alignment, overlap, live
+// set) when State.Layout names a layout it last found clean. And the
+// run-queue, wait-queue and address-space checks each sit behind a
+// screen: a map-free, allocation-free pass that only answers "clean?".
+// The reporter that formats violations runs only when its screen
+// rejects the state, so on the clean states that make up nearly all of
+// the traffic no map is touched and nothing is formatted. Each screen
+// is sound (a state it passes is one its reporter finds nothing in),
+// so the violation lists are those of the reporters alone.
 package invariant
 
 import (
@@ -81,8 +88,11 @@ var checkers = sync.Pool{New: func() any { return new(Checker) }}
 
 // Checker runs the invariant suite with reusable scratch space: once
 // its buffers have grown to a state's size, checking a consistent
-// state allocates nothing. The zero value is ready to use. A Checker
-// is not safe for concurrent use.
+// state allocates nothing. Its clean path is map-free: the screens walk
+// the queues and address spaces directly, over a typed index of the
+// live objects kept per layout generation, and the map-based reporters
+// run only on states a screen rejects. The zero value is ready to use.
+// A Checker is not safe for concurrent use.
 type Checker struct {
 	out []Violation
 
@@ -93,13 +103,21 @@ type Checker struct {
 
 	// queued maps each run-queued thread to the priority whose walk
 	// first reached it; inQueue is the membership of the endpoint or
-	// notification queue being walked.
+	// notification queue being walked. Only the reporters use them.
 	queued  map[*kobj.TCB]int
 	inQueue map[*kobj.TCB]bool
 
 	// cleanLayout is the last non-zero State.Layout whose object
 	// checks found nothing, or zero.
 	cleanLayout uint64
+
+	// The typed index: State.Objects' threads, endpoints and
+	// notifications, each in Objects order, as of State.Layout
+	// indexLayout (rebuilt on every call when that is zero).
+	tcbs        []*kobj.TCB
+	eps         []*kobj.Endpoint
+	ntfns       []*kobj.Notification
+	indexLayout uint64
 }
 
 // span is one object's physical footprint [start, end), whether it is
@@ -131,14 +149,44 @@ func (c *Checker) Check(s *State) []Violation {
 			c.cleanLayout = s.Layout
 		}
 	}
-	c.checkRunQueues(s)
-	c.checkEndpoints(s)
-	c.checkNotifications(s)
+	c.index(s)
+	// Each reporter runs, in the suite's order, only when its screen
+	// rejects the state; a screen passes only states its reporter
+	// finds nothing in.
+	if !runQueuesClean(s, c.tcbs) {
+		c.checkRunQueues(s)
+	}
+	if !waitQueuesClean(c.eps, c.ntfns) {
+		c.checkEndpoints(s)
+		c.checkNotifications(s)
+	}
 	c.checkMDB(s)
-	c.checkVSpace(s)
+	if !vspaceClean(s) {
+		c.checkVSpace(s)
+	}
 	out := c.out
 	c.out = nil
 	return out
+}
+
+// index brings the typed index up to date with s.Objects, rebuilding it
+// in one pass unless s.Layout names the layout it was built from.
+func (c *Checker) index(s *State) {
+	if s.Layout != 0 && s.Layout == c.indexLayout {
+		return
+	}
+	c.indexLayout = s.Layout
+	c.tcbs, c.eps, c.ntfns = c.tcbs[:0], c.eps[:0], c.ntfns[:0]
+	for _, o := range s.Objects {
+		switch o := o.(type) {
+		case *kobj.TCB:
+			c.tcbs = append(c.tcbs, o)
+		case *kobj.Endpoint:
+			c.eps = append(c.eps, o)
+		case *kobj.Notification:
+			c.ntfns = append(c.ntfns, o)
+		}
+	}
 }
 
 func (c *Checker) add(inv, format string, args ...any) {

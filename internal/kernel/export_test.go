@@ -11,3 +11,6 @@ func (k *Kernel) ExitChecks() (kept, fresh []invariant.Violation) {
 	st.Layout = 0
 	return kept, new(invariant.Checker).Check(&st)
 }
+
+// ExitState is the state the kernel checks at kernel exit.
+func (k *Kernel) ExitState() invariant.State { return k.state(true) }

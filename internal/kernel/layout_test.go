@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"verikern/internal/arch"
+	"verikern/internal/invariant/faults"
 	"verikern/internal/konfig"
 	"verikern/internal/soak"
 )
@@ -12,16 +13,19 @@ import (
 // TestLayoutSkipDifferential runs invariants-on soak campaigns on every
 // legacy soak-matrix point, seeds 1-5, and after every op checks that
 // the kernel's own Checker, which skips the object checks for a layout
-// generation it found clean, reports exactly what a fresh Checker
-// does. The lazy point breaks early and the preempting points reach
-// the mdb-depth defect, so broken states are compared too.
+// generation it found clean and keeps its typed object index per
+// generation, reports exactly what a fresh Checker does. Broken states
+// are compared too: every faultEvery ops a fault from the catalog,
+// none of which touches an object-layout field, corrupts the state
+// for one comparison and is reverted, and the lazy point and the
+// preempting points also reach model defects of their own.
 func TestLayoutSkipDifferential(t *testing.T) {
-	const ops = 1000
+	const ops, faultEvery = 1000, 50
 	m, err := konfig.LegacySoakMatrix(arch.ARM1136ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken := 0
+	broken, drawn := 0, 0
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, np := range m {
 			p, err := np.Point.Set("debug.check-invariants", "true")
@@ -48,13 +52,32 @@ func TestLayoutSkipDifferential(t *testing.T) {
 				if kept, fresh := k.ExitChecks(); !reflect.DeepEqual(kept, fresh) {
 					t.Fatalf("seed %d %s op %d:\nkernel checker: %v\nfresh checker:  %v", seed, np.Name, op, kept, fresh)
 				}
+				if op%faultEvery != faultEvery-1 {
+					continue
+				}
+				st := k.ExitState()
+				f := faults.Catalog[drawn%len(faults.Catalog)]
+				drawn++
+				revert := f.Apply(&st, op)
+				if revert == nil {
+					continue
+				}
+				kept, fresh := k.ExitChecks()
+				revert()
+				if !reflect.DeepEqual(kept, fresh) {
+					t.Fatalf("seed %d %s op %d, fault %q:\nkernel checker: %v\nfresh checker:  %v", seed, np.Name, op, f.Name, kept, fresh)
+				}
+				if len(fresh) > 0 {
+					broken++
+				}
 			}
 			if k.InvariantFailure() != nil {
 				broken++
 			}
 		}
 	}
+	t.Logf("%d faults drawn; %d broken states or campaigns compared", drawn, broken)
 	if broken == 0 {
-		t.Error("no campaign broke an invariant, so broken states went uncompared")
+		t.Error("no campaign or injected fault broke an invariant, so broken states went uncompared")
 	}
 }
